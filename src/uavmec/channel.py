@@ -4,6 +4,10 @@ The fading model superposes a unit-modulus line-of-sight component and a
 zero-mean unit-variance complex Gaussian scatter component, mixed by the
 Rician factor; rician_k = 0 degenerates to Rayleigh. Block fading: callers
 draw one gain per link per slot.
+
+Every formula takes scalars or arrays (one element per link) and returns
+the same shape; see ``libm`` for why powers and logarithms go element by
+element.
 """
 
 from __future__ import annotations
@@ -12,35 +16,49 @@ import math
 
 import numpy as np
 
+from . import libm
 from .config import ChannelParams
 
 
-def link_distance(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+def link_distance(a, b):
+    """Euclidean distance between points, over the last axis of a - b."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    out = np.sqrt(np.vecdot(d, d))
+    return float(out) if out.ndim == 0 else out
 
 
-def los_gain_sq(p: ChannelParams, d: float) -> float:
-    """Deterministic power gain beta0 * d^-chi (the rician_k -> inf limit)."""
-    if d <= 0:
+def _check_distance(d) -> None:
+    if (np.asarray(d) <= 0).any():
         raise ValueError("link distance must be positive")
-    return p.beta0 * d ** (-p.chi)
+
+
+def los_gain_sq(p: ChannelParams, d):
+    """Deterministic power gain beta0 * d^-chi (the rician_k -> inf limit)."""
+    _check_distance(d)
+    return p.beta0 * libm.power(d, -p.chi)
+
+
+def fading_gain_sq(p: ChannelParams, d, n_re, n_im):
+    """|h|^2 for links of length d, given the two standard normals of each
+    link's scatter component. Mean over the normals is beta0 * d^-chi."""
+    _check_distance(d)
+    k = p.rician_k
+    los = math.sqrt(k / (1.0 + k)) if k > 0 else 0.0
+    spread = math.sqrt(1.0 / (1.0 + k))
+    re = los + spread * (n_re / math.sqrt(2.0))
+    im = spread * (n_im / math.sqrt(2.0))
+    return p.beta0 * libm.power(d, -p.chi) * libm.abs_sq(re, im)
 
 
 def sample_gain_sq(p: ChannelParams, d: float, rng: np.random.Generator) -> float:
     """Draw |h|^2 for one link of length d. Mean equals beta0 * d^-chi."""
-    if d <= 0:
-        raise ValueError("link distance must be positive")
-    k = p.rician_k
-    los = math.sqrt(k / (1.0 + k)) if k > 0 else 0.0
-    scatter = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-    h = los + math.sqrt(1.0 / (1.0 + k)) * scatter
-    return p.beta0 * d ** (-p.chi) * float(abs(h)) ** 2
+    return fading_gain_sq(p, d, rng.standard_normal(), rng.standard_normal())
 
 
-def rate(bw: float, tx_power: float, gain_sq: float, noise: float) -> float:
+def rate(bw: float, tx_power: float, gain_sq, noise: float):
     """Shannon rate bw * log2(1 + snr) in bits/s; zero at zero transmit power."""
     if bw <= 0 or noise <= 0:
         raise ValueError("bandwidth and noise power must be positive")
-    if tx_power < 0 or gain_sq < 0:
+    if tx_power < 0 or (np.asarray(gain_sq) < 0).any():
         raise ValueError("tx_power and gain_sq must be nonnegative")
-    return bw * math.log2(1.0 + tx_power * gain_sq / noise)
+    return bw * libm.log2(1.0 + tx_power * gain_sq / noise)

@@ -3,7 +3,8 @@
 Subcommands:
     run <config.json>                       train all configured algorithms
     sweep <config.json> --axis <name>       sweep one scenario axis
-    trajectory <checkpoint> <config.json>   export one greedy rollout
+    trajectory <checkpoint> <config.json>   export the UAV trajectory of one
+                                            noise-free rollout of its actor
     baseline <config.json>                  print greedy-baseline returns
 
 Output root defaults to the config's output_dir and may be overridden with
@@ -37,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--axis", required=True, choices=harness.AXES)
     sweep_p.add_argument("--name", default=None)
 
-    traj_p = sub.add_parser("trajectory", help="export a greedy rollout")
+    traj_p = sub.add_parser(
+        "trajectory", help="export the UAV trajectory of one noise-free actor rollout")
     traj_p.add_argument("checkpoint")
     traj_p.add_argument("config")
     traj_p.add_argument("--seed", type=int, default=0)

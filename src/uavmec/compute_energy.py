@@ -1,17 +1,27 @@
 """Delay and energy formulas for local, offloaded, and UAV-side processing,
-plus the rotary-wing propulsion model."""
+plus the rotary-wing propulsion model.
+
+Per-UD quantities (task bits, link rates, compute shares, transcoded bits)
+and UAV speeds may be arrays, one element per UD or UAV; a formula then
+returns an array of the same shape, or a scalar where a per-slot guard
+(an empty split share, zero compute) decides every element alike. The split
+fractions and the busy and UAV compute levels are per-slot scalars.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import libm
 from .config import EnergyParams, TaskParams
 
 
 @dataclass
 class SlotTask:
-    bits: float             # raw video size this slot
+    bits: float             # raw video size this slot (or one per busy UD)
     cycles_per_bit: float
 
 
@@ -39,47 +49,63 @@ class UnassociatedOffload(RuntimeError):
     """Raised when a positive UAV offload fraction has no associated UAV."""
 
 
-def local_delay(t: SlotTask, split: OffloadSplit, f_local: float) -> float:
+def _ratio_or_inf(num, den):
+    """num / den where den > 0 and inf where it is not, elementwise."""
+    if not libm.is_array(den):
+        return num / den if den > 0 else math.inf
+    ok = den > 0
+    if ok.all():
+        return num / den
+    return np.where(ok, num / np.where(ok, den, 1.0), math.inf)
+
+
+def _zero_if_no_work(amount, value):
+    """value, but 0.0 wherever amount is zero: no work takes no time."""
+    if not libm.is_array(amount):
+        return 0.0 if amount == 0.0 else value
+    return np.where(amount == 0.0, 0.0, value)
+
+
+def local_delay(t: SlotTask, split: OffloadSplit, f_local: float):
     if split.eps3 == 0.0:
         return 0.0
-    if f_local <= 0:
-        return math.inf
-    return split.eps3 * t.bits * t.cycles_per_bit / f_local
+    return _ratio_or_inf(split.eps3 * t.bits * t.cycles_per_bit, f_local)
 
 
-def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float) -> float:
-    return kappa * f_local ** 2 * split.eps3 * t.bits * t.cycles_per_bit
+def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float):
+    return kappa * libm.power(f_local, 2) * split.eps3 * t.bits * t.cycles_per_bit
 
 
-def flight_power(v: float, p: EnergyParams) -> float:
+def flight_power(v, p: EnergyParams):
     """Propulsion power at horizontal speed v (W): parasite + blade + induced."""
-    if v < 0:
+    if (np.asarray(v) < 0).any():
         raise ValueError("speed must be nonnegative")
-    parasite = 0.5 * p.d_c * p.rho * p.rotor_solidity * p.rotor_area * v ** 3
-    blade = p.p_blade * (1.0 + 3.0 * v ** 2 / p.utip ** 2)
+    sqrt = np.sqrt if libm.is_array(v) else math.sqrt
+    v2 = libm.power(v, 2)
+    parasite = 0.5 * p.d_c * p.rho * p.rotor_solidity * p.rotor_area * libm.power(v, 3)
+    blade = p.p_blade * (1.0 + 3.0 * v2 / p.utip ** 2)
     vf_pow = 4 if p.classical_induced_term else 2
-    induced_inner = math.sqrt(1.0 + v ** 4 / (4.0 * p.v_f ** vf_pow)) - v ** 2 / (2.0 * p.v_f ** 2)
-    induced = p.p_induced * math.sqrt(max(induced_inner, 0.0))
+    induced_inner = (sqrt(1.0 + libm.power(v, 4) / (4.0 * p.v_f ** vf_pow))
+                     - v2 / (2.0 * p.v_f ** 2))
+    induced = p.p_induced * sqrt(np.maximum(induced_inner, 0.0))
     return parasite + blade + induced
 
 
-def flight_energy(v: float, dt: float, p: EnergyParams) -> float:
+def flight_energy(v, dt: float, p: EnergyParams):
     if dt < 0:
         raise ValueError("slot length must be nonnegative")
     return flight_power(v, p) * dt
 
 
-def uplink_delay_uav(t: SlotTask, split: OffloadSplit, rate_to_assoc_uav: float | None) -> float:
+def uplink_delay_uav(t: SlotTask, split: OffloadSplit, rate_to_assoc_uav):
     if split.eps1 == 0.0:
         return 0.0
     if rate_to_assoc_uav is None:
         raise UnassociatedOffload("eps1 > 0 but the busy UD has no associated UAV")
-    if rate_to_assoc_uav <= 0:
-        return math.inf
-    return split.eps1 * t.bits / rate_to_assoc_uav
+    return _ratio_or_inf(split.eps1 * t.bits, rate_to_assoc_uav)
 
 
-def uplink_energy(tx_power: float, delay: float) -> float:
+def uplink_energy(tx_power: float, delay):
     return tx_power * delay
 
 
@@ -88,57 +114,45 @@ def transcode_cycles_per_bit(level: TranscodeLevel, p: EnergyParams) -> float:
     return p.m1 * level.bitrate_mbps ** p.m2
 
 
-def transcode_time(cycles_total: float, f_uav: float) -> float:
-    if cycles_total == 0.0:
-        return 0.0
-    if f_uav <= 0:
-        return math.inf
-    return cycles_total / f_uav
+def transcode_time(cycles_total, f_uav: float):
+    return _zero_if_no_work(cycles_total, _ratio_or_inf(cycles_total, f_uav))
 
 
-def transcode_energy(f_uav: float, time_s: float, p: EnergyParams) -> float:
+def transcode_energy(f_uav: float, time_s, p: EnergyParams):
     # Zero frequency does no work even though the job would never finish
     # (time_s is inf there); guard avoids 0 * inf.
     if f_uav <= 0.0:
         return 0.0
-    return p.s1 * f_uav ** p.y1 * time_s
+    return p.s1 * libm.power(f_uav, p.y1) * time_s
 
 
-def transcoded_bits(t: SlotTask, split: OffloadSplit, level: TranscodeLevel) -> float:
+def transcoded_bits(t: SlotTask, split: OffloadSplit, level: TranscodeLevel):
     """Post-transcode size of the UAV share, scaled by the bitrate ratio."""
     return split.eps1 * t.bits * (level.bitrate_mbps / level.original_bitrate_mbps)
 
 
-def uav_compute_delay(d_prime: float, ck: float, f_uav: float) -> float:
-    if d_prime == 0.0:
-        return 0.0
-    if f_uav <= 0:
-        return math.inf
-    return d_prime * ck / f_uav
+def uav_compute_delay(d_prime, ck: float, f_uav: float):
+    return _zero_if_no_work(d_prime, _ratio_or_inf(d_prime * ck, f_uav))
 
 
-def uav_compute_energy(f_uav: float, d_prime: float, ck: float, kappa: float) -> float:
-    return kappa * f_uav ** 2 * d_prime * ck
+def uav_compute_energy(f_uav: float, d_prime, ck: float, kappa: float):
+    return kappa * libm.power(f_uav, 2) * d_prime * ck
 
 
-def d2d_delay(t: SlotTask, split: OffloadSplit, rate_d2d: float) -> float:
+def d2d_delay(t: SlotTask, split: OffloadSplit, rate_d2d):
     if split.eps2 == 0.0:
         return 0.0
-    if rate_d2d <= 0:
-        return math.inf
-    return split.eps2 * t.bits / rate_d2d
+    return _ratio_or_inf(split.eps2 * t.bits, rate_d2d)
 
 
-def idle_compute_delay(t: SlotTask, split: OffloadSplit, f_idle: float) -> float:
+def idle_compute_delay(t: SlotTask, split: OffloadSplit, f_idle):
     if split.eps2 == 0.0:
         return 0.0
-    if f_idle <= 0:
-        return math.inf
-    return split.eps2 * t.bits * t.cycles_per_bit / f_idle
+    return _ratio_or_inf(split.eps2 * t.bits * t.cycles_per_bit, f_idle)
 
 
-def idle_compute_energy(t: SlotTask, split: OffloadSplit, f_idle: float, kappa: float) -> float:
-    return kappa * f_idle ** 2 * split.eps2 * t.bits * t.cycles_per_bit
+def idle_compute_energy(t: SlotTask, split: OffloadSplit, f_idle, kappa: float):
+    return kappa * libm.power(f_idle, 2) * split.eps2 * t.bits * t.cycles_per_bit
 
 
 def ladder_level(task: TaskParams, index: int) -> TranscodeLevel:

@@ -148,8 +148,10 @@ class ComputeCaps:
     def validate(self) -> None:
         if min(self.f_busy_max, self.f_idle_max, self.f_uav_max) <= 0:
             raise ConfigError("caps: all compute caps must be positive")
-        if self.tx_power < 0:
-            raise ConfigError("caps.tx_power must be nonnegative")
+        # At zero power every rate is 0, every uplink delay inf, and every
+        # uplink energy 0 * inf = nan.
+        if not self.tx_power > 0:
+            raise ConfigError("caps.tx_power must be positive")
 
 
 @dataclass

@@ -5,6 +5,9 @@ Compute levels enter the revenue terms in GHz so that prices in the default
 [0.1, 2.0] band produce utilities of comparable magnitude to the energy
 costs; raw cycles/s would let pricing terms dwarf everything else. Energy
 terms are joules converted to currency through econ.energy_price.
+
+The utilities are plain arithmetic, so their energy arguments may also be
+arrays (one element per UAV, idle UD or busy UD), giving one utility each.
 """
 
 from __future__ import annotations

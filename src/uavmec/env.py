@@ -18,21 +18,27 @@ Raw action layout (length 12 + 3*K, every entry in [-1, 1]):
 Each step evaluates the slot's physics and economics at the current
 positions, assesses constraint penalties, then advances the UAVs, drains
 their batteries, re-associates, and draws the next slot's tasks.
+
+The slot evaluation is one array pass over all busy UDs (per-UAV and
+per-idle-UD totals by ``np.bincount``) and a pure function of the world,
+the drawn tasks and the action: the fading normals of a slot are drawn
+together with its tasks, so :meth:`OffloadEnv.peek_reward` scores an
+action without copying the env or drawing from its generator.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import channel, compute_energy as ce, economics as econ
+from . import channel, compute_energy as ce, economics as econ, libm
 from .config import SimConfig
 from .compute_energy import OffloadSplit, SlotTask, TranscodeLevel
 from .economics import PriceQuote, Weights
-from .world import (WorldState, advance_uav, associate, clamp_velocity,
+from .world import (UavState, WorldState, associate, clamp_velocity, move,
                     pairwise_min_distance, spawn_world)
 
 
@@ -76,6 +82,16 @@ class LedgerEntry:
     uav_rows: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
+class _SlotOutcome(NamedTuple):
+    """A slot's ledger entry and the UAV state it leaves behind."""
+    entry: LedgerEntry
+    pos: np.ndarray             # (K, 3) after the move
+    vel: np.ndarray             # (K, 3)
+    remaining: list[float]      # (K,) battery left
+    energy_used: np.ndarray     # (K,) cumulative
+    energy_exceeded: np.ndarray  # (K,) sticky battery flags
+
+
 def action_length(n_uav: int) -> int:
     return 12 + 3 * n_uav
 
@@ -85,7 +101,7 @@ def state_length(n_busy: int, n_uav: int) -> int:
 
 
 def _softmax3(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - np.max(logits))
+    z = np.exp(logits - logits.max())
     return z / z.sum()
 
 
@@ -93,13 +109,28 @@ def _affine(raw: float, lo: float, hi: float) -> float:
     return lo + (float(raw) + 1.0) * 0.5 * (hi - lo)
 
 
+def _running_sums(rows: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of each row from 0.0: the bits a Python loop of
+    += gives, which numpy's pairwise ``sum`` does not."""
+    return 0.0 + np.cumsum(rows, axis=-1)[..., -1]
+
+
 def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
-    """Map a raw [-1,1] action vector onto the feasible set."""
+    """Map a raw action vector onto the feasible set.
+
+    Finite entries outside [-1, 1] are clipped into it; a non-finite entry
+    raises ValueError naming its index.
+    """
     raw = np.asarray(raw, dtype=float)
     k = cfg.world.n_uav
     if raw.shape != (action_length(k),):
         raise ValueError(f"action vector must have length {action_length(k)}, "
                          f"got shape {raw.shape}")
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"action entry {i} is not finite ({float(raw[i])})")
+    raw = np.clip(raw, -1.0, 1.0)
     s = _softmax3(raw[0:3])
     split = OffloadSplit(eps1=float(s[0]), eps2=float(s[1]), eps3=float(s[2]))
     f_busy = _affine(raw[3], 0.0, cfg.caps.f_busy_max)
@@ -113,7 +144,7 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     weights = Weights(w1=float(w[0]), w2=float(w[1]), w3=float(w[2]))
     vel_raw = raw[11:11 + 3 * k].reshape(k, 3) * cfg.world.v_max
     commanded = np.linalg.norm(vel_raw, axis=1)
-    velocities = np.array([clamp_velocity(v, cfg.world.v_max) for v in vel_raw])
+    velocities = clamp_velocity(vel_raw, cfg.world.v_max)
     ladder = cfg.task.bitrate_ladder
     idx = min(int((float(raw[11 + 3 * k]) + 1.0) * 0.5 * len(ladder)), len(ladder) - 1)
     level = ce.ladder_level(cfg.task, idx)
@@ -160,124 +191,108 @@ class OffloadEnv:
         self._energy_used = np.zeros(w.n_uav)
         self._energy_exceeded = np.zeros(w.n_uav, dtype=bool)
         # Static D2D pairing: each busy UD offloads to its nearest idle UD.
-        self._d2d_partner = [
-            int(np.argmin(np.linalg.norm(self.world.idle_pos - p, axis=1)))
-            for p in self.world.busy_pos
-        ]
+        busy, idle = self.world.busy_pos, self.world.idle_pos
+        partner = np.argmin(np.linalg.norm(idle - busy[:, None, :], axis=2), axis=1)
+        self._d2d_partner = partner
+        self._d2d_distance = np.maximum(channel.link_distance(busy, idle[partner]), 1.0)
+        # Idle compute is shared evenly among the busy UDs an idle UD serves.
+        self._partner_load = np.bincount(partner)[partner]
         self._draw_tasks()
         return self.state()
 
     def _draw_tasks(self) -> None:
+        """Draw the next slot's tasks and, under stochastic fading, its
+        fading normals: per busy UD the real and imaginary parts of the UAV
+        link, then of the D2D link."""
         t = self.cfg.task
-        self._bits = self.rng.uniform(t.d_min_bits, t.d_max_bits,
-                                      size=self.cfg.world.n_busy)
+        n_busy = self.cfg.world.n_busy
+        self._bits = self.rng.uniform(t.d_min_bits, t.d_max_bits, size=n_busy)
         self._cycles = float(self.rng.uniform(t.cycles_per_bit_min,
                                               t.cycles_per_bit_max))
+        self._normals = (None if self.cfg.deterministic_fading
+                         else self.rng.standard_normal((n_busy, 4)))
 
     def state(self) -> np.ndarray:
         cfg = self.cfg
         w = self.world
+        n_busy = cfg.world.n_busy
         out = np.empty(self.state_dim)
-        i = 0
-        for ud in range(cfg.world.n_busy):
-            out[i:i + 3] = w.busy_pos[ud] / cfg.world.area_side
-            out[i + 3] = self._bits[ud] / cfg.task.d_max_bits
-            i += 4
+        busy = out[:4 * n_busy].reshape(n_busy, 4)
+        busy[:, :3] = w.busy_pos / cfg.world.area_side
+        busy[:, 3] = self._bits / cfg.task.d_max_bits
         c_span = cfg.task.cycles_per_bit_max - cfg.task.cycles_per_bit_min
         # degenerate range (fixed cycle density) normalizes to 0
-        out[i] = ((self._cycles - cfg.task.cycles_per_bit_min) / c_span
-                  if c_span > 0 else 0.0)
-        i += 1
-        h_span = cfg.world.h_max - cfg.world.h_min
-        for u in w.uavs:
-            out[i:i + 2] = u.pos[:2] / cfg.world.area_side
-            out[i + 2] = (u.pos[2] - cfg.world.h_min) / h_span
-            out[i + 3] = u.remaining_energy / cfg.world.battery_j
-            i += 4
+        out[4 * n_busy] = ((self._cycles - cfg.task.cycles_per_bit_min) / c_span
+                           if c_span > 0 else 0.0)
+        uav = out[4 * n_busy + 1:].reshape(-1, 4)
+        pos = w.uav_positions()
+        uav[:, :2] = pos[:, :2] / cfg.world.area_side
+        uav[:, 2] = (pos[:, 2] - cfg.world.h_min) / (cfg.world.h_max - cfg.world.h_min)
+        uav[:, 3] = [u.remaining_energy / cfg.world.battery_j for u in w.uavs]
         return out
 
-    def _gain(self, params, d: float) -> float:
-        if self.cfg.deterministic_fading:
-            return channel.los_gain_sq(params, d)
-        return channel.sample_gain_sq(params, d, self.rng)
-
-    def step(self, raw_action) -> tuple[np.ndarray, float, LedgerEntry, bool]:
-        if self.done:
-            raise RuntimeError("step() called on a finished episode")
+    def _evaluate(self, act: DecodedAction) -> _SlotOutcome:
+        """The slot under act at the current state; changes nothing."""
         cfg = self.cfg
         w = self.world
-        act = decode(raw_action, cfg)
         kappa = cfg.energy.kappa
         tx = cfg.caps.tx_power
-        n_uav = cfg.world.n_uav
+        n_busy, n_idle, n_uav = cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav
+        task = SlotTask(bits=self._bits, cycles_per_bit=self._cycles)
+        split = act.split
+        assoc = np.asarray(w.assoc)
+        uav_pos = w.uav_positions()
 
-        # Idle compute is shared evenly among the busy UDs an idle UD serves.
-        serve_count = np.zeros(cfg.world.n_idle, dtype=int)
-        for j in self._d2d_partner:
-            serve_count[j] += 1
+        def per_ud(x):   # a per-slot guard may have decided all UDs alike
+            return x if libm.is_array(x) else np.full(n_busy, x)
 
+        d_uav = channel.link_distance(w.busy_pos, uav_pos[assoc])
+        d_d2d = self._d2d_distance
+        if cfg.deterministic_fading:
+            g_uav = channel.los_gain_sq(cfg.chan_uav, d_uav)
+            g_d2d = channel.los_gain_sq(cfg.chan_d2d, d_d2d)
+        else:
+            n = self._normals
+            g_uav = channel.fading_gain_sq(cfg.chan_uav, d_uav, n[:, 0], n[:, 1])
+            g_d2d = channel.fading_gain_sq(cfg.chan_d2d, d_d2d, n[:, 2], n[:, 3])
+        r_uav = channel.rate(cfg.chan_uav.bandwidth, tx, g_uav, cfg.chan_uav.noise_power)
+        r_d2d = channel.rate(cfg.chan_d2d.bandwidth, tx, g_d2d, cfg.chan_d2d.noise_power)
+
+        t_loc = ce.local_delay(task, split, act.f_busy)
+        e_loc = ce.local_energy(task, split, act.f_busy, kappa)
+        t_up = ce.uplink_delay_uav(task, split, r_uav)
+        e_up = ce.uplink_energy(tx, t_up)
         ck = ce.transcode_cycles_per_bit(act.level, cfg.energy)
-        e_trans_k = np.zeros(n_uav)
-        e_comp_k = np.zeros(n_uav)
-        e_idle_j = np.zeros(cfg.world.n_idle)
-        tot = {"e_local": 0.0, "e_off_uav": 0.0, "e_off_d2d": 0.0,
-               "t_local": 0.0, "t_off_uav": 0.0, "t_off_d2d": 0.0}
-        u_busy_own = 0.0
+        t_tr = ce.transcode_time(ck * split.eps1 * task.bits, act.f_uav)
+        e_tr = ce.transcode_energy(act.f_uav, t_tr, cfg.energy)
+        d_prime = ce.transcoded_bits(task, split, act.level)
+        e_uc = ce.uav_compute_energy(act.f_uav, d_prime, ck, kappa)
+        t_d2d = ce.d2d_delay(task, split, r_d2d)
+        e_d2d = ce.uplink_energy(tx, t_d2d)
+        f_share = act.f_idle / self._partner_load
+        e_idle = ce.idle_compute_energy(task, split, f_share, kappa)
+
+        e_trans_k = np.bincount(assoc, weights=per_ud(e_tr), minlength=n_uav)
+        e_comp_k = np.bincount(assoc, weights=per_ud(e_uc), minlength=n_uav)
+        e_idle_j = np.bincount(self._d2d_partner, weights=per_ud(e_idle),
+                               minlength=n_idle)
+        speeds = np.sqrt(np.vecdot(act.velocities, act.velocities))
+        e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
+
         inc = econ.incentive_factors(cfg.caps)
-
-        for i in range(cfg.world.n_busy):
-            task = SlotTask(bits=float(self._bits[i]), cycles_per_bit=self._cycles)
-            k = w.assoc[i]
-            j = self._d2d_partner[i]
-            d_uav = channel.link_distance(w.busy_pos[i], w.uavs[k].pos)
-            d_d2d = max(channel.link_distance(w.busy_pos[i], w.idle_pos[j]), 1.0)
-            r_uav = channel.rate(cfg.chan_uav.bandwidth, tx,
-                                 self._gain(cfg.chan_uav, d_uav),
-                                 cfg.chan_uav.noise_power)
-            r_d2d = channel.rate(cfg.chan_d2d.bandwidth, tx,
-                                 self._gain(cfg.chan_d2d, d_d2d),
-                                 cfg.chan_d2d.noise_power)
-
-            t_loc = ce.local_delay(task, act.split, act.f_busy)
-            e_loc = ce.local_energy(task, act.split, act.f_busy, kappa)
-
-            t_up = ce.uplink_delay_uav(task, act.split, r_uav)
-            e_up = ce.uplink_energy(tx, t_up)
-            t_tr = ce.transcode_time(ck * act.split.eps1 * task.bits, act.f_uav)
-            e_tr = ce.transcode_energy(act.f_uav, t_tr, cfg.energy)
-            d_prime = ce.transcoded_bits(task, act.split, act.level)
-            e_uc = ce.uav_compute_energy(act.f_uav, d_prime, ck, kappa)
-
-            t_d2d = ce.d2d_delay(task, act.split, r_d2d)
-            e_d2d = ce.uplink_energy(tx, t_d2d)
-            f_share = act.f_idle / max(serve_count[j], 1)
-            e_idle = ce.idle_compute_energy(task, act.split, f_share, kappa)
-
-            e_trans_k[k] += e_tr
-            e_comp_k[k] += e_uc
-            e_idle_j[j] += e_idle
-            tot["e_local"] += e_loc
-            tot["e_off_uav"] += e_up
-            tot["e_off_d2d"] += e_d2d
-            tot["t_local"] += t_loc
-            tot["t_off_uav"] += t_up
-            tot["t_off_d2d"] += t_d2d
-            u_busy_own += econ.busy_own_utility(act.f_busy, e_loc, e_up, e_d2d,
-                                                inc.u_busy, cfg.econ)
-
-        dt = cfg.world.slot_seconds
-        e_fly_k = np.array([ce.flight_energy(float(np.linalg.norm(v)), dt, cfg.energy)
-                            for v in act.velocities])
-
-        beta_uav = econ.uav_inconvenience(act.split.eps1, cfg.econ)
-        u_uav = sum(econ.uav_utility(act.f_uav, act.prices.p_uav, e_trans_k[k],
-                                     e_fly_k[k], e_comp_k[k], beta_uav, cfg.econ)
-                    for k in range(n_uav))
-        u_idle = sum(econ.idle_utility(act.f_idle, act.prices.p_idle, e_idle_j[j],
-                                       cfg.econ)
-                     for j in range(cfg.world.n_idle))
+        beta_uav = econ.uav_inconvenience(split.eps1, cfg.econ)
+        u_uav = _running_sums(econ.uav_utility(act.f_uav, act.prices.p_uav, e_trans_k,
+                                               e_fly_k, e_comp_k, beta_uav, cfg.econ))
+        u_idle = _running_sums(econ.idle_utility(act.f_idle, act.prices.p_idle,
+                                                 e_idle_j, cfg.econ))
+        u_busy_own = econ.busy_own_utility(act.f_busy, e_loc, e_up, e_d2d,
+                                           inc.u_busy, cfg.econ)
+        (u_busy_own, e_local, e_off_uav, e_off_d2d, t_local, t_off_uav,
+         t_off_d2d) = _running_sums(np.array([
+             per_ud(x) for x in (u_busy_own, e_loc, e_up, e_d2d, t_loc, t_up, t_d2d)
+         ])).tolist()
         u_busy = (u_busy_own
-                  + cfg.world.n_idle * econ.busy_purchase_utility(
+                  + n_idle * econ.busy_purchase_utility(
                       act.f_idle, act.prices.p_idle, inc.u_idle)
                   + n_uav * econ.busy_purchase_utility(
                       act.f_uav, act.prices.p_uav, inc.u_uav))
@@ -286,50 +301,61 @@ class OffloadEnv:
         # Constraint penalties on this slot's configuration.
         pen = cfg.penalty
         f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(w.uavs) < cfg.world.d_min) else 0.0
-        f3 = pen.f3 if bool(np.any(act.commanded_speeds > cfg.world.v_max * (1 + 1e-12))) else 0.0
-        slot_use = e_fly_k + e_trans_k + e_comp_k
-        self._energy_used += slot_use
-        self._energy_exceeded |= self._energy_used > cfg.world.battery_j
-        f2 = pen.f2 if bool(np.any(self._energy_exceeded)) else 0.0
+        f3 = pen.f3 if (act.commanded_speeds > cfg.world.v_max * (1 + 1e-12)).any() else 0.0
+        used = self._energy_used + (e_fly_k + e_trans_k + e_comp_k)
+        exceeded = self._energy_exceeded | (used > cfg.world.battery_j)
+        f2 = pen.f2 if exceeded.any() else 0.0
 
-        # Advance kinematics, drain batteries, re-associate, draw next tasks.
-        for k in range(n_uav):
-            vel_cmd = np.asarray(raw_action, dtype=float)[11 + 3 * k:14 + 3 * k] * cfg.world.v_max
-            w.uavs[k] = advance_uav(w.uavs[k], vel_cmd, dt, cfg.world)
-            w.uavs[k].remaining_energy = max(cfg.world.battery_j - self._energy_used[k], 0.0)
-        w.assoc = associate(w.busy_pos, w.uavs)
-        self._draw_tasks()
-        self.slot += 1
-        self.done = self.slot >= cfg.world.n_slots
-
+        # Kinematics and battery drain; the commit re-associates.
+        vel = act.velocities
+        pos = move(uav_pos, np.array([u.vel for u in w.uavs]), vel,
+                   cfg.world.slot_seconds, cfg.world)
+        remaining = np.maximum(cfg.world.battery_j - used, 0.0).tolist()
         f4 = 0.0
-        if self.done and pen.f4 > 0:
-            disp = np.linalg.norm(w.uav_positions() - self._initial_uav_pos, axis=1)
+        if self.slot + 1 >= cfg.world.n_slots and pen.f4 > 0:
+            disp = np.linalg.norm(pos - self._initial_uav_pos, axis=1)
             f4 = pen.f4 * float(np.mean(disp)) / cfg.world.area_side
 
         penalty = f1 + f2 + f3 + f4
-        reward = q - penalty
         entry = LedgerEntry(
-            slot=self.slot - 1, q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
-            f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=reward,
-            e_local=tot["e_local"], e_off_uav=tot["e_off_uav"],
-            e_off_d2d=tot["e_off_d2d"], e_transcode=float(e_trans_k.sum()),
+            slot=self.slot, q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
+            f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty,
+            e_local=e_local, e_off_uav=e_off_uav, e_off_d2d=e_off_d2d,
+            e_transcode=float(e_trans_k.sum()),
             e_uav_compute=float(e_comp_k.sum()),
             e_idle_compute=float(e_idle_j.sum()), e_fly=float(e_fly_k.sum()),
-            t_local=tot["t_local"], t_off_uav=tot["t_off_uav"],
-            t_off_d2d=tot["t_off_d2d"],
-            uav_rows=[(float(u.pos[0]), float(u.pos[1]), float(u.pos[2]),
-                       float(u.remaining_energy)) for u in w.uavs],
+            t_local=t_local, t_off_uav=t_off_uav, t_off_d2d=t_off_d2d,
+            uav_rows=[(x, y, z, e) for (x, y, z), e in zip(pos.tolist(), remaining)],
         )
-        return self.state(), reward, entry, self.done
+        return _SlotOutcome(entry=entry, pos=pos, vel=vel, remaining=remaining,
+                            energy_used=used, energy_exceeded=exceeded)
+
+    def step(self, raw_action) -> tuple[np.ndarray, float, LedgerEntry, bool]:
+        if self.done:
+            raise RuntimeError("step() called on a finished episode")
+        out = self._evaluate(decode(raw_action, self.cfg))
+        # Commit: move the UAVs, drain their batteries, re-associate, and
+        # draw the next slot's tasks.
+        w = self.world
+        w.uavs[:] = [UavState(pos=p, vel=v, remaining_energy=e, uid=u.uid)
+                     for u, p, v, e in zip(w.uavs, out.pos, out.vel, out.remaining)]
+        self._energy_used = out.energy_used
+        self._energy_exceeded = out.energy_exceeded
+        w.assoc = associate(w.busy_pos, w.uavs)
+        self._draw_tasks()
+        self.slot += 1
+        self.done = self.slot >= self.cfg.world.n_slots
+        return self.state(), out.entry.reward, out.entry, self.done
 
     def clone(self) -> "OffloadEnv":
         return copy.deepcopy(self)
 
     def peek_reward(self, raw_action) -> float:
-        """Reward of taking raw_action now, without mutating this env."""
-        _, r, _, _ = self.clone().step(raw_action)
-        return r
+        """Reward of taking raw_action now; changes nothing and draws no
+        random numbers."""
+        if self.done:
+            raise RuntimeError("peek_reward() called on a finished episode")
+        return self._evaluate(decode(raw_action, self.cfg)).entry.reward
 
 
 def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]],

@@ -3,7 +3,6 @@ and deterministic CSV artifacts."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -12,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config as cfgmod
-from .baseline import greedy_baseline, greedy_episode
+from .baseline import greedy_baseline
 from .config import ExperimentConfig, SimConfig
 from .env import OffloadEnv, write_ledger_csv
 from .nets import Mlp

@@ -57,42 +57,50 @@ def spawn_world(cfg: WorldConfig) -> WorldState:
 
 
 def clamp_velocity(commanded: np.ndarray, v_max: float) -> np.ndarray:
-    """Scale the commanded velocity down so its magnitude is at most v_max."""
-    speed = float(np.linalg.norm(commanded))
-    if speed <= v_max or speed == 0.0:
-        return np.array(commanded, dtype=float)
-    return np.asarray(commanded, dtype=float) * (v_max / speed)
+    """Scale each commanded velocity (a (3,) vector or (K, 3) rows) down so
+    its magnitude is at most v_max."""
+    commanded = np.asarray(commanded, dtype=float)
+    speed = np.sqrt(np.vecdot(commanded, commanded))
+    over = speed > v_max
+    if not over.any():
+        return commanded.copy()
+    scale = np.divide(v_max, speed, out=np.ones_like(speed), where=over)
+    return commanded * scale[..., None]
 
 
-def advance_uav(u: UavState, commanded_vel: np.ndarray, dt: float,
-                bounds: WorldConfig) -> UavState:
-    """One kinematic step: clamp speed, integrate p + v*dt + 0.5*a*dt^2, clamp box.
+def move(pos: np.ndarray, vel: np.ndarray, v_new: np.ndarray, dt: float,
+         bounds: WorldConfig) -> np.ndarray:
+    """Positions after one slot at already clamped velocities v_new: integrate
+    p + v*dt + 0.5*a*dt^2, then clamp to the flight box. Takes (3,) or (K, 3).
 
     Acceleration is derived from the velocity change, a = (v_new - v_old) / dt,
     so the position update reduces to the midpoint rule.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    accel = (v_new - vel) / dt
+    pos = pos + vel * dt + 0.5 * accel * dt * dt
+    lo = (0.0, 0.0, bounds.h_min)
+    hi = (bounds.area_side, bounds.area_side, bounds.h_max)
+    return np.minimum(np.maximum(pos, lo), hi)
+
+
+def advance_uav(u: UavState, commanded_vel: np.ndarray, dt: float,
+                bounds: WorldConfig) -> UavState:
+    """One kinematic step of one UAV: clamp speed, then :func:`move`."""
     v_new = clamp_velocity(commanded_vel, bounds.v_max)
-    accel = (v_new - u.vel) / dt
-    pos = u.pos + u.vel * dt + 0.5 * accel * dt * dt
-    pos = pos.copy()
-    pos[0] = min(max(pos[0], 0.0), bounds.area_side)
-    pos[1] = min(max(pos[1], 0.0), bounds.area_side)
-    pos[2] = min(max(pos[2], bounds.h_min), bounds.h_max)
-    return replace(u, pos=pos, vel=v_new)
+    return replace(u, pos=move(u.pos, u.vel, v_new, dt, bounds), vel=v_new)
 
 
 def pairwise_min_distance(uavs: list[UavState]) -> float:
     """Minimum pairwise 3D distance; NO_PAIR_DISTANCE for a single UAV."""
     if not uavs:
         raise ValueError("empty UAV list")
-    best = NO_PAIR_DISTANCE
-    for a in range(len(uavs)):
-        for b in range(a + 1, len(uavs)):
-            d = float(np.linalg.norm(uavs[a].pos - uavs[b].pos))
-            best = min(best, d)
-    return best
+    pos = np.array([u.pos for u in uavs])
+    diff = pos[:, None, :] - pos[None, :, :]
+    d = np.sqrt(np.vecdot(diff, diff))
+    np.fill_diagonal(d, NO_PAIR_DISTANCE)
+    return float(d.min())
 
 
 def associate(busy_pos: np.ndarray, uavs: list[UavState]) -> list[int]:
@@ -100,8 +108,5 @@ def associate(busy_pos: np.ndarray, uavs: list[UavState]) -> list[int]:
     if not uavs:
         raise ValueError("need at least one UAV to associate")
     uav_pos = np.array([u.pos for u in uavs])
-    out = []
-    for p in np.atleast_2d(busy_pos):
-        d = np.linalg.norm(uav_pos - p, axis=1)
-        out.append(int(np.argmin(d)))  # argmin breaks ties at lowest index
-    return out
+    d = np.linalg.norm(uav_pos - np.atleast_2d(busy_pos)[:, None, :], axis=2)
+    return np.argmin(d, axis=1).tolist()  # argmin breaks ties at lowest index

@@ -1,10 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_sim
-from uavmec.config import SimConfig
+from uavmec.baseline import greedy_action
+from uavmec.config import ConfigError, SimConfig
 from uavmec.env import (OffloadEnv, action_length, decode, episode_return,
                         state_length, write_ledger_csv)
+
+
+def _assert_feasible(act, cfg):
+    s = act.split
+    assert abs(s.eps1 + s.eps2 + s.eps3 - 1) < 1e-9
+    assert min(s.eps1, s.eps2, s.eps3) >= 0
+    w = act.weights
+    assert abs(w.w1 + w.w2 + w.w3 - 1) < 1e-9
+    assert 0 <= act.f_busy <= cfg.caps.f_busy_max
+    assert 0 <= act.f_idle <= cfg.caps.f_idle_max
+    assert 0 <= act.f_uav <= cfg.caps.f_uav_max
+    assert cfg.econ.p_uav_min <= act.prices.p_uav <= cfg.econ.p_uav_max
+    assert cfg.econ.p_idle_min <= act.prices.p_idle <= cfg.econ.p_idle_max
+    speeds = np.linalg.norm(act.velocities, axis=1)
+    assert np.all(speeds <= cfg.world.v_max + 1e-12)
+    assert act.level.bitrate_mbps in cfg.task.bitrate_ladder
 
 
 class TestReset:
@@ -64,20 +83,32 @@ class TestDecode:
         rng = np.random.default_rng(0)
         n = action_length(sim_cfg.world.n_uav)
         for _ in range(1000):
-            act = decode(rng.uniform(-1, 1, n), sim_cfg)
-            s = act.split
-            assert abs(s.eps1 + s.eps2 + s.eps3 - 1) < 1e-9
-            assert min(s.eps1, s.eps2, s.eps3) >= 0
-            w = act.weights
-            assert abs(w.w1 + w.w2 + w.w3 - 1) < 1e-9
-            assert 0 <= act.f_busy <= sim_cfg.caps.f_busy_max
-            assert 0 <= act.f_idle <= sim_cfg.caps.f_idle_max
-            assert 0 <= act.f_uav <= sim_cfg.caps.f_uav_max
-            assert sim_cfg.econ.p_uav_min <= act.prices.p_uav <= sim_cfg.econ.p_uav_max
-            assert sim_cfg.econ.p_idle_min <= act.prices.p_idle <= sim_cfg.econ.p_idle_max
-            speeds = np.linalg.norm(act.velocities, axis=1)
-            assert np.all(speeds <= sim_cfg.world.v_max + 1e-12)
-            assert act.level.bitrate_mbps in sim_cfg.task.bitrate_ladder
+            _assert_feasible(decode(rng.uniform(-1, 1, n), sim_cfg), sim_cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_by_index(self, sim_cfg, bad):
+        raw = np.zeros(action_length(sim_cfg.world.n_uav))
+        raw[5] = bad
+        with pytest.raises(ValueError, match="entry 5 is not finite"):
+            decode(raw, sim_cfg)
+
+    def test_out_of_range_entries_clipped(self, sim_cfg):
+        n = action_length(sim_cfg.world.n_uav)
+        high = decode(np.full(n, 5.0), sim_cfg)
+        assert high.f_busy == sim_cfg.caps.f_busy_max
+        assert high.prices.p_uav == sim_cfg.econ.p_uav_max
+        assert np.array_equal(high.velocities, decode(np.ones(n), sim_cfg).velocities)
+        low = decode(np.full(n, -9.0), sim_cfg)
+        assert low.f_uav == 0.0
+        assert low.prices.p_uav == sim_cfg.econ.p_uav_min
+        assert low.level_index == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=action_length(2), max_size=action_length(2)))
+    def test_any_finite_vector_decodes_feasibly(self, raw):
+        cfg = small_sim()
+        _assert_feasible(decode(np.array(raw), cfg), cfg)
 
 
 class TestStep:
@@ -161,6 +192,84 @@ class TestStep:
             assert ea.reward == eb.reward
             assert ea.q == eb.q
             assert ea.uav_rows == eb.uav_rows
+
+
+class TestConfigChecks:
+    def test_zero_tx_power_rejected(self):
+        # At zero power every uplink delay is inf and its energy 0 * inf = nan.
+        cfg = small_sim()
+        cfg.caps.tx_power = 0.0
+        with pytest.raises(ConfigError, match=r"caps\.tx_power"):
+            OffloadEnv(cfg, 0)
+
+
+def _float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPeekReward:
+    def test_equals_cloned_step_on_every_slot(self):
+        cfg = SimConfig()                # 20/10/5, 50 slots, stochastic fading
+        cfg.world.battery_j = 5_000.0    # drained within the episode: F2 fires
+        env = OffloadEnv(cfg, 8)
+        rng = np.random.default_rng(8)
+        flags = set()
+        done = False
+        while not done:
+            a = rng.uniform(-1, 1, env.action_dim)
+            peeked = env.peek_reward(a)
+            _, cloned, _, _ = env.clone().step(a)
+            _, r, e, done = env.step(a)
+            assert _float_bits(peeked) == _float_bits(cloned) == _float_bits(r)
+            flags |= {name for name in ("f2", "f4") if getattr(e, name) > 0}
+        assert flags == {"f2", "f4"}
+
+    def test_changes_nothing(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 4)
+        env.step(np.random.default_rng(1).uniform(-1, 1, env.action_dim))
+
+        def snapshot():
+            uavs = [(u.pos.copy(), u.vel.copy(), u.remaining_energy)
+                    for u in env.world.uavs]
+            return (uavs, list(env.world.assoc), env.slot, env.done,
+                    env._bits.copy(), env._cycles, env._normals.copy(),
+                    env._energy_used.copy(), env._energy_exceeded.copy(),
+                    env.rng.bit_generator.state)
+
+        before = snapshot()
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            env.peek_reward(rng.uniform(-1, 1, env.action_dim))
+        after = snapshot()
+        for u, v in zip(before[0], after[0]):
+            assert np.array_equal(u[0], v[0]) and np.array_equal(u[1], v[1])
+            assert u[2] == v[2]
+        assert before[1:4] == after[1:4]
+        for x, y in zip(before[4:9], after[4:9]):
+            assert np.array_equal(x, y)
+        assert before[9] == after[9]
+
+    def test_greedy_search_neither_steps_nor_clones(self, sim_cfg):
+        calls = []
+
+        class Watched(OffloadEnv):
+            def step(self, raw_action):
+                calls.append("step")
+                return super().step(raw_action)
+
+            def clone(self):
+                calls.append("clone")
+                return super().clone()
+
+        env = Watched(sim_cfg, 0)
+        greedy_action(env)
+        assert calls == []
+
+    def test_finished_episode_rejected(self):
+        env = OffloadEnv(small_sim(n_slots=1), 0)
+        env.step(np.zeros(env.action_dim))
+        with pytest.raises(RuntimeError):
+            env.peek_reward(np.zeros(env.action_dim))
 
 
 class TestEpisodeReturn:

@@ -1,0 +1,111 @@
+"""Bit-identity of the slot kernel against a recorded stream.
+
+``tests/data/slot_stream.json`` holds, for five scenarios, the ``repr`` of
+every slot's reward and a SHA-256 over the bits of every state vector and
+every ledger field that a fixed random-action stream produced. The test
+replays the same streams and requires the same bits: a last-bit change in a
+reward or a state moves TD3 training runs onto other trajectories.
+
+Regenerate (only for a deliberate change of reward semantics, stated in
+``CHANGES.md``)::
+
+    PYTHONPATH=src python tests/test_slot_stream.py --write
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from uavmec.config import SimConfig
+from uavmec.env import OffloadEnv
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "slot_stream.json")
+
+
+def _sized(n_busy, n_idle, n_uav, **world) -> SimConfig:
+    cfg = SimConfig()
+    cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav = n_busy, n_idle, n_uav
+    for key, value in world.items():
+        setattr(cfg.world, key, value)
+    return cfg
+
+
+def _deterministic() -> SimConfig:
+    cfg = SimConfig()
+    cfg.deterministic_fading = True
+    return cfg
+
+
+def _physical_sign() -> SimConfig:
+    cfg = SimConfig()
+    cfg.econ.paper_sign_convention = False
+    return cfg
+
+
+# name -> (config factory, env seeds, one per episode, action-stream seed).
+# The 6/3/2 battery is small enough for the energy penalty F2 to fire.
+CASES = {
+    "6-3-2": (lambda: _sized(6, 3, 2, n_slots=20, battery_j=3_000.0), (1,), 101),
+    "20-10-5": (SimConfig, (2,), 102),
+    "200-100-20": (lambda: _sized(200, 100, 20), (3, 4), 103),
+    "deterministic-fading": (_deterministic, (5,), 104),
+    "physical-sign": (_physical_sign, (6,), 105),
+}
+
+
+def run_case(name: str) -> tuple[list[str], str]:
+    """(reward reprs, SHA-256 of every state and ledger field) of one case."""
+    make_cfg, seeds, action_seed = CASES[name]
+    env = OffloadEnv(make_cfg(), seeds[0])
+    rng = np.random.default_rng(action_seed)
+    digest = hashlib.sha256()
+    rewards = []
+    for seed in seeds:
+        digest.update(env.reset(seed).tobytes())
+        done = False
+        while not done:
+            s, r, entry, done = env.step(rng.uniform(-1.0, 1.0, env.action_dim))
+            rewards.append(repr(float(r)))
+            digest.update(s.tobytes())
+            for f in dataclasses.fields(entry):
+                digest.update(np.asarray(getattr(entry, f.name),
+                                         dtype=np.float64).tobytes())
+    return rewards, digest.hexdigest()
+
+
+def _fixture() -> dict:
+    with open(FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stream_matches_fixture(name):
+    want = _fixture()[name]
+    rewards, sha = run_case(name)
+    assert rewards == want["rewards"]
+    assert sha == want["sha256"]
+
+
+def main(argv) -> int:
+    if argv != ["--write"]:
+        print(__doc__)
+        return 2
+    out = {}
+    for name in CASES:
+        rewards, sha = run_case(name)
+        out[name] = {"rewards": rewards, "sha256": sha}
+    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
