@@ -185,6 +185,19 @@ class SimConfig:
             part.validate()
 
 
+def _require_positive(section: str, cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{section}.{name} must be at least 1, "
+                              f"got {getattr(cfg, name)!r}")
+
+
+def _require_positive_widths(section: str, hidden) -> None:
+    if any(width < 1 for width in hidden):
+        raise ConfigError(f"{section}.hidden widths must be at least 1, "
+                          f"got {tuple(hidden)!r}")
+
+
 @dataclass
 class Td3Config:
     gamma: float = 0.98
@@ -214,6 +227,12 @@ class Td3Config:
             raise ConfigError("td3.target_noise_clip must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError("td3.optimizer must be 'adam' or 'sgd'")
+        _require_positive("td3", self, "policy_delay", "batch_size",
+                          "buffer_capacity", "episodes")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError("td3.buffer_capacity must be at least "
+                              "td3.batch_size, or no update ever runs")
+        _require_positive_widths("td3", self.hidden)
 
 
 @dataclass
@@ -235,6 +254,9 @@ class PpoConfig:
             raise ConfigError("ppo: gamma in (0,1) and gae_lambda in [0,1] required")
         if self.clip_ratio <= 0 or self.lr <= 0:
             raise ConfigError("ppo: clip_ratio and lr must be positive")
+        _require_positive("ppo", self, "epochs", "minibatch_size",
+                          "rollout_episodes", "episodes")
+        _require_positive_widths("ppo", self.hidden)
 
 
 @dataclass

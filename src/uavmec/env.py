@@ -370,8 +370,9 @@ def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]]
         for ep in sorted(entries_by_episode):
             for e in entries_by_episode[ep]:
                 row = [str(ep), str(e.slot)]
-                row += [repr(v) for v in (e.q, e.u_uav, e.u_idle, e.u_busy,
-                                          e.f1, e.f2, e.f3, e.f4, e.reward)]
-                for x, y, z, en in e.uav_rows:
-                    row += [repr(x), repr(y), repr(z), repr(en)]
+                # float() first: numpy scalars repr as "np.float64(...)".
+                row += [repr(float(v)) for v in (e.q, e.u_uav, e.u_idle, e.u_busy,
+                                                 e.f1, e.f2, e.f3, e.f4, e.reward)]
+                for cells in e.uav_rows:
+                    row += [repr(float(v)) for v in cells]
                 fh.write(",".join(row) + "\n")

@@ -4,6 +4,15 @@ Hidden layers are rectified-linear; the output layer is either identity
 (critics) or tanh (actors). ``backward`` returns both parameter gradients and
 the gradient with respect to the input, which lets the actor update chain
 through a critic's action input.
+
+Each network keeps all of its parameters in one contiguous float64 vector
+``flat`` (``w0, b0, w1, b1, ...``, weights row-major); ``weights[i]`` and
+``biases[i]`` are reshaped views into it, held in tuples so that a layer can
+only be written in place (``net.weights[0][...] = w``), never rebound.
+``backward`` writes the parameter gradients into ``grad``, a buffer with the
+same layout that is allocated on the first ``backward`` (inference-only nets
+never pay for it). So an optimizer step, a soft update or a finite check is
+one array op per network.
 """
 
 from __future__ import annotations
@@ -11,29 +20,40 @@ from __future__ import annotations
 import numpy as np
 
 
+def _views(flat: np.ndarray, sizes: list[int]):
+    """(weights, biases) tuples of reshaped views into ``flat``."""
+    weights, biases = [], []
+    i = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[i:i + fan_in * fan_out].reshape(fan_in, fan_out))
+        i += fan_in * fan_out
+        biases.append(flat[i:i + fan_out])
+        i += fan_out
+    return tuple(weights), tuple(biases)
+
+
 class Mlp:
     def __init__(self, sizes: list[int], out_activation: str = "identity",
                  rng: np.random.Generator | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        if min(sizes) < 1:
+            raise ValueError(f"layer sizes must be positive, got {list(sizes)}")
         if out_activation not in ("identity", "tanh"):
             raise ValueError("out_activation must be 'identity' or 'tanh'")
         rng = rng or np.random.default_rng()
         self.sizes = list(sizes)
         self.out_activation = out_activation
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        n_params = sum(fan_in * fan_out + fan_out
+                       for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.flat = np.zeros(n_params)
+        self.weights, self.biases = _views(self.flat, self.sizes)
+        for w in self.weights:
+            # Same bits as rng.normal(0, scale), drawn in place: no temporary.
+            rng.standard_normal(out=w)
+            w *= np.sqrt(2.0 / w.shape[0])
+        self.grad = None
+        self._grad_views = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cache(x)
@@ -65,12 +85,13 @@ class Mlp:
             delta = grad_out * (1.0 - activations[-1] ** 2)
         else:
             delta = grad_out
-        w_grads = [None] * n
-        b_grads = [None] * n
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            self._grad_views = _views(self.grad, self.sizes)
+        w_grads, b_grads = self._grad_views
         for li in range(n - 1, -1, -1):
-            h_in = activations[li]
-            w_grads[li] = h_in.T @ delta
-            b_grads[li] = delta.sum(axis=0)
+            np.matmul(activations[li].T, delta, out=w_grads[li])
+            delta.sum(axis=0, out=b_grads[li])
             delta = delta @ self.weights[li].T
             if li > 0:
                 delta = delta * (activations[li] > 0.0)
@@ -80,21 +101,17 @@ class Mlp:
             param_grads.append(bg)
         return param_grads, delta
 
-    # Flat views used by finite-difference checks and checkpointing.
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for p in self.parameters():
-            p[...] = flat[i:i + p.size].reshape(p.shape)
-            i += p.size
-        if i != flat.size:
+        if np.size(flat) != self.flat.size:
             raise ValueError("flat vector size mismatch")
+        self.flat[...] = flat
 
     def copy(self) -> "Mlp":
         other = Mlp(self.sizes, self.out_activation, np.random.default_rng(0))
-        other.set_flat(self.get_flat())
+        other.flat[...] = self.flat
         return other
 
 
@@ -138,10 +155,9 @@ def make_optimizer(kind: str, params: list[np.ndarray], lr: float):
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     """theta' <- tau*theta + (1-tau)*theta', elementwise."""
-    for tp, op in zip(target.parameters(), online.parameters()):
-        tp *= (1.0 - tau)
-        tp += tau * op
+    target.flat *= (1.0 - tau)
+    target.flat += tau * online.flat
 
 
 def all_finite(net: Mlp) -> bool:
-    return all(np.all(np.isfinite(p)) for p in net.parameters())
+    return bool(np.isfinite(net.flat).all())

@@ -22,8 +22,8 @@ class PpoAgent:
         self.mean_net = Mlp([state_dim] + hidden + [action_dim], "tanh", rng)
         self.value_net = Mlp([state_dim] + hidden + [1], "identity", rng)
         self.log_std = np.full(action_dim, cfg.init_log_std)
-        self.policy_opt = Adam(self.mean_net.parameters() + [self.log_std], cfg.lr)
-        self.value_opt = Adam(self.value_net.parameters(), cfg.lr)
+        self.policy_opt = Adam([self.mean_net.flat, self.log_std], cfg.lr)
+        self.value_opt = Adam([self.value_net.flat], cfg.lr)
 
     def act(self, s: np.ndarray) -> np.ndarray:
         """Deterministic (mean) action."""
@@ -77,9 +77,9 @@ class PpoAgent:
         dlogp = np.where(active, -(adv * ratio) / b, 0.0)
         dmu = dlogp[:, None] * (z / std)          # dlogp/dmu = (a-mu)/std^2
         dlogstd = (dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
-        grads, _ = self.mean_net.backward(cache, dmu)
-        self.policy_opt.step(self.mean_net.parameters() + [self.log_std],
-                             grads + [dlogstd])
+        self.mean_net.backward(cache, dmu)
+        self.policy_opt.step([self.mean_net.flat, self.log_std],
+                             [self.mean_net.grad, dlogstd])
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
         return loss
 
@@ -87,8 +87,8 @@ class PpoAgent:
         b = s.shape[0]
         v, cache = self.value_net.forward_cache(s)
         err = v[:, 0] - returns
-        grads, _ = self.value_net.backward(cache, (2.0 / b) * err[:, None])
-        self.value_opt.step(self.value_net.parameters(), grads)
+        self.value_net.backward(cache, (2.0 / b) * err[:, None])
+        self.value_opt.step([self.value_net.flat], [self.value_net.grad])
         return float(np.mean(err ** 2))
 
 

@@ -26,7 +26,6 @@ def td_target(r: np.ndarray, q1: np.ndarray, q2: np.ndarray,
 class TrainLog:
     episode_returns: list[float] = field(default_factory=list)
     critic_losses: list[float] = field(default_factory=list)
-    critic_losses2: list[float] = field(default_factory=list)
     actor_objectives: list[float] = field(default_factory=list)
     penalty_totals: list[float] = field(default_factory=list)
 
@@ -47,9 +46,9 @@ class Td3Agent:
         self.critics = [Mlp([state_dim + action_dim] + hidden + [1], "identity", rng)
                         for _ in range(n_critics)]
         self.critic_targets = [c.copy() for c in self.critics]
-        self.actor_opt = make_optimizer(cfg.optimizer, self.actor.parameters(),
+        self.actor_opt = make_optimizer(cfg.optimizer, [self.actor.flat],
                                         cfg.actor_lr)
-        self.critic_opts = [make_optimizer(cfg.optimizer, c.parameters(), cfg.critic_lr)
+        self.critic_opts = [make_optimizer(cfg.optimizer, [c.flat], cfg.critic_lr)
                             for c in self.critics]
         self.critic_update_count = 0
         self.actor_update_count = 0
@@ -92,8 +91,8 @@ class Td3Agent:
             err = q[:, 0] - y
             losses.append(float(np.mean(err ** 2)))
             grad_out = (2.0 / batch) * err[:, None]
-            grads, _ = critic.backward(cache, grad_out)
-            opt.step(critic.parameters(), grads)
+            critic.backward(cache, grad_out)
+            opt.step([critic.flat], [critic.grad])
         self.critic_update_count += 1
         return losses
 
@@ -106,9 +105,9 @@ class Td3Agent:
         grad_out = np.full((batch, 1), 1.0 / batch)
         _, grad_x = self.critics[0].backward(critic_cache, grad_out)
         grad_a = grad_x[:, s.shape[1]:]
-        actor_grads, _ = self.actor.backward(actor_cache, grad_a)
+        self.actor.backward(actor_cache, grad_a)
         # Gradient ascent: feed negated gradients to the descent optimizer.
-        self.actor_opt.step(self.actor.parameters(), [-g for g in actor_grads])
+        self.actor_opt.step([self.actor.flat], [-self.actor.grad])
         self.actor_update_count += 1
         return float(np.mean(q))
 
@@ -154,7 +153,6 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int,
                 y = agent.td_targets(br, bs2, bd)
                 losses = agent.critic_update(bs, ba, y)
                 log.critic_losses.append(losses[0])
-                log.critic_losses2.append(losses[-1])
                 if agent.critic_update_count % policy_delay == 0:
                     log.actor_objectives.append(agent.actor_update(bs))
                     agent.sync_targets()
@@ -179,15 +177,18 @@ def ddpg_train(env_factory, cfg: Td3Config, seed: int):
 CHECKPOINT_VERSION = 1
 
 
+def _checkpoint_items(net: Mlp) -> list[tuple[str, np.ndarray]]:
+    """(key, parameter view) pairs: ``w0, w1, ...`` then ``b0, b1, ...``."""
+    return ([(f"w{i}", w) for i, w in enumerate(net.weights)]
+            + [(f"b{i}", b) for i, b in enumerate(net.biases)])
+
+
 def save_actor(path: str, actor: Mlp) -> None:
     """Write an actor checkpoint (.npz: version, sizes, activation, params)."""
     arrays = {"format_version": np.array([CHECKPOINT_VERSION]),
               "sizes": np.array(actor.sizes),
               "out_activation": np.array([actor.out_activation])}
-    for i, w in enumerate(actor.weights):
-        arrays[f"w{i}"] = w
-    for i, b in enumerate(actor.biases):
-        arrays[f"b{i}"] = b
+    arrays.update(_checkpoint_items(actor))
     np.savez(path, **arrays)
 
 
@@ -198,7 +199,12 @@ def load_actor(path: str) -> Mlp:
         raise ValueError(f"unsupported checkpoint version {version}")
     sizes = [int(v) for v in data["sizes"]]
     net = Mlp(sizes, str(data["out_activation"][0]), np.random.default_rng(0))
-    for i in range(len(sizes) - 1):
-        net.weights[i] = np.array(data[f"w{i}"])
-        net.biases[i] = np.array(data[f"b{i}"])
+    for key, view in _checkpoint_items(net):
+        if key not in data:
+            raise ValueError(f"checkpoint lacks '{key}'")
+        value = data[key]
+        if value.shape != view.shape:
+            raise ValueError(f"checkpoint '{key}' has shape {value.shape}, "
+                             f"sizes {sizes} need {view.shape}")
+        view[...] = value
     return net

@@ -306,3 +306,15 @@ class TestLedgerCsv:
         assert "uav1_energy" in header
         assert len(lines) == 1 + sim_cfg.world.n_slots
         assert all(len(l.split(",")) == len(header) for l in lines[1:])
+
+    def test_every_data_field_parses_as_a_number(self, tmp_path, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        _, _, entry, _ = env.step(np.zeros(env.action_dim))
+        path = tmp_path / "ledger.csv"
+        write_ledger_csv(str(path), {0: [entry]}, sim_cfg.world.n_uav)
+        header, row = path.read_text().strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        for name, text in cells.items():
+            float(text)                      # raises on "np.float64(...)"
+        assert float(cells["Q"]) == entry.q
+        assert float(cells["reward"]) == entry.reward

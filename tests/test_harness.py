@@ -12,6 +12,7 @@ from uavmec import cli, harness
 from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, Td3Config,
                            load_experiment, save_experiment)
 from uavmec.env import OffloadEnv
+from uavmec.ppo import ppo_train
 from uavmec.td3 import load_actor, td3_train
 
 
@@ -236,6 +237,32 @@ class TestConfigErrors:
         cfg.td3.gamma = 1.5
         with pytest.raises(ConfigError, match="gamma"):
             cfg.validate()
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("td3", "policy_delay", 0),
+        ("td3", "batch_size", 0),
+        ("td3", "buffer_capacity", 0),
+        ("td3", "buffer_capacity", 15),      # below the batch size of 16
+        ("td3", "episodes", -1),
+        ("td3", "hidden", (0,)),
+        ("ppo", "minibatch_size", 0),
+        ("ppo", "epochs", 0),
+        ("ppo", "rollout_episodes", 0),
+        ("ppo", "episodes", -1),
+        ("ppo", "hidden", (16, 0)),
+    ])
+    def test_learner_range_names_field(self, section, field, value):
+        cfg = tiny_experiment()
+        cfg.td3.batch_size = 16
+        cfg.validate()
+        setattr(getattr(cfg, section), field, value)
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            cfg.validate()
+
+    def test_zero_rollout_episodes_raises_instead_of_hanging(self):
+        cfg = PpoConfig(episodes=2, rollout_episodes=0, hidden=(8,))
+        with pytest.raises(ConfigError, match="ppo.rollout_episodes"):
+            ppo_train(lambda s: OffloadEnv(small_sim(n_slots=2), s), cfg, 0)
 
     def test_unknown_key_names_path(self, tmp_path):
         path = str(tmp_path / "c.json")

@@ -32,15 +32,15 @@ class TestForward:
 
     def test_identity_single_layer(self):
         net = Mlp([2, 2], "identity", np.random.default_rng(0))
-        net.weights[0] = np.eye(2)
-        net.biases[0] = np.zeros(2)
+        net.weights[0][...] = np.eye(2)
+        net.biases[0][...] = np.zeros(2)
         x = np.array([0.3, -1.2])
         assert np.allclose(net.forward(x)[0], x)
 
     def test_hand_computed_matrix_product(self):
         net = Mlp([2, 2], "identity", np.random.default_rng(0))
-        net.weights[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        net.biases[0] = np.array([0.5, -0.5])
+        net.weights[0][...] = np.array([[1.0, 2.0], [3.0, 4.0]])
+        net.biases[0][...] = np.array([0.5, -0.5])
         y = net.forward(np.array([1.0, 2.0]))[0]
         assert np.allclose(y, [1 + 6 + 0.5, 2 + 8 - 0.5])
 
@@ -157,8 +157,101 @@ class TestOptimizers:
             make_optimizer("rmsprop", [], 0.1)
 
 
+def _assert_views_of_flat(net):
+    for p in net.weights + net.biases:
+        assert np.shares_memory(net.flat, p)
+    # The views tile the buffer in the order w0, b0, w1, b1, ...
+    assert np.array_equal(
+        np.concatenate([p.ravel() for wb in zip(net.weights, net.biases)
+                        for p in wb]),
+        net.flat)
+
+
+class TestFlatLayout:
+    def test_views_after_construction(self):
+        net = Mlp([3, 5, 4, 2], "tanh", np.random.default_rng(0))
+        _assert_views_of_flat(net)
+        assert net.flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+
+    def test_views_after_copy_and_set_flat(self):
+        net = Mlp([3, 5, 2], "identity", np.random.default_rng(0))
+        other = net.copy()
+        _assert_views_of_flat(other)
+        assert not np.shares_memory(other.flat, net.flat)
+        assert np.array_equal(other.flat, net.flat)
+        net.set_flat(np.arange(net.flat.size, dtype=float))
+        _assert_views_of_flat(net)
+        assert net.biases[-1][0] == 3 * 5 + 5 + 5 * 2
+
+    def test_views_after_load_actor(self, tmp_path):
+        from uavmec.td3 import load_actor, save_actor
+        path = str(tmp_path / "actor.npz")
+        save_actor(path, Mlp([4, 6, 2], "tanh", np.random.default_rng(1)))
+        _assert_views_of_flat(load_actor(path))
+
+    def test_set_flat_rejects_wrong_size(self):
+        net = Mlp([2, 2], "identity", np.random.default_rng(0))
+        before = net.get_flat()
+        with pytest.raises(ValueError, match="size"):
+            net.set_flat(np.zeros(before.size + 1))
+        assert np.array_equal(net.flat, before)
+
+    def test_get_flat_is_a_copy(self):
+        net = Mlp([2, 2], "identity", np.random.default_rng(0))
+        flat = net.get_flat()
+        flat[0] = 99.0
+        assert net.weights[0][0, 0] != 99.0
+
+    def test_layer_item_assignment_raises(self):
+        net = Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            net.biases[1] = np.zeros(1)
+
+    def test_grad_buffer_is_lazy_and_shares_layout(self):
+        net = Mlp([3, 4, 2], "identity", np.random.default_rng(0))
+        assert net.grad is None
+        _, cache = net.forward_cache(np.ones((5, 3)))
+        grads, _ = net.backward(cache, np.ones((5, 2)))
+        assert net.grad.shape == net.flat.shape
+        assert all(np.shares_memory(net.grad, g) for g in grads)
+        assert np.array_equal(np.concatenate([g.ravel() for g in grads]),
+                              net.grad)
+
+    def test_rejects_zero_width(self):
+        with pytest.raises(ValueError):
+            Mlp([3, 0, 1], "identity", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("opt_cls", [Adam, Sgd])
+    def test_flat_step_equals_per_layer_step_bitwise(self, opt_cls):
+        rng = np.random.default_rng(7)
+        flat_net = Mlp([4, 8, 3], "tanh", rng)
+        layer_net = flat_net.copy()
+        layer_params = [p for wb in zip(layer_net.weights, layer_net.biases)
+                        for p in wb]
+        flat_opt = opt_cls([flat_net.flat], 0.01)
+        layer_opt = opt_cls(layer_params, 0.01)
+        for _ in range(5):
+            x = rng.normal(size=(6, 4))
+            g_out = rng.normal(size=(6, 3))
+            _, cache = flat_net.forward_cache(x)
+            flat_net.backward(cache, g_out)
+            _, cache = layer_net.forward_cache(x)
+            layer_grads, _ = layer_net.backward(cache, g_out)
+            flat_opt.step([flat_net.flat], [flat_net.grad])
+            layer_opt.step(layer_params, layer_grads)
+            assert np.array_equal(flat_net.flat, layer_net.flat)
+
+
 def test_all_finite_detects_nan():
     net = Mlp([2, 2], "identity", np.random.default_rng(0))
     assert all_finite(net)
     net.weights[0][0, 0] = np.nan
+    assert not all_finite(net)
+
+
+def test_all_finite_detects_inf_in_last_bias():
+    net = Mlp([2, 3, 2], "identity", np.random.default_rng(0))
+    net.biases[-1][-1] = np.inf
     assert not all_finite(net)

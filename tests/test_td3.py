@@ -162,6 +162,27 @@ class TestCheckpoint:
         x = np.random.default_rng(4).normal(size=(5, 4))
         assert np.array_equal(actor.forward(x), loaded.forward(x))
 
+    @pytest.mark.parametrize("key", ["w1", "b0"])
+    def test_shape_mismatch_names_key(self, tmp_path, key):
+        actor = Mlp([4, 8, 2], "tanh", np.random.default_rng(3))
+        path = str(tmp_path / "actor.npz")
+        save_actor(path, actor)
+        arrays = dict(np.load(path))
+        arrays[key] = np.zeros(arrays[key].size + 1)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_actor(path)
+
+    def test_missing_key_named(self, tmp_path):
+        actor = Mlp([4, 8, 2], "tanh", np.random.default_rng(3))
+        path = str(tmp_path / "actor.npz")
+        save_actor(path, actor)
+        arrays = dict(np.load(path))
+        del arrays["b1"]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'b1'"):
+            load_actor(path)
+
     def test_version_check(self, tmp_path):
         path = str(tmp_path / "bad.npz")
         np.savez(path, format_version=np.array([99]), sizes=np.array([1, 1]),
