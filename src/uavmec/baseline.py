@@ -20,13 +20,12 @@ def steering_velocities(env: OffloadEnv) -> np.ndarray:
     centroid = env.world.busy_pos.mean(axis=0)
     target_alt = 0.5 * (env.cfg.world.h_min + env.cfg.world.h_max)
     target = np.array([centroid[0], centroid[1], target_alt])
-    block = np.zeros(3 * env.cfg.world.n_uav)
-    for k, uav in enumerate(env.world.uavs):
-        d = target - uav.pos
-        norm = np.linalg.norm(d)
-        if norm > 1.0:
-            block[3 * k:3 * k + 3] = d / norm * STEER_RAW
-    return block
+    d = target - env.world.uav_pos
+    norm = np.sqrt(np.vecdot(d, d))
+    far = norm > 1.0
+    block = np.zeros_like(d)
+    block[far] = d[far] / norm[far, None] * STEER_RAW
+    return block.ravel()
 
 
 def greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,7 +32,6 @@ class WorldConfig:
     slot_seconds: float = 1.0
     n_slots: int = 50
     battery_j: float = 20_000.0
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if self.area_side <= 0 or self.n_uav < 1 or self.n_busy < 1:
@@ -40,6 +40,9 @@ class WorldConfig:
             raise ConfigError("world.h_min must be below world.h_max")
         if self.d_min <= 0 or self.v_max <= 0 or self.slot_seconds <= 0:
             raise ConfigError("world: d_min, v_max, slot_seconds must be positive")
+        _require_positive("world", self, "n_slots")
+        if not self.battery_j > 0:
+            raise ConfigError(f"world.battery_j must be positive, got {self.battery_j!r}")
 
 
 @dataclass
@@ -134,6 +137,8 @@ class TaskParams:
     def validate(self) -> None:
         if not (0 < self.d_min_bits <= self.d_max_bits):
             raise ConfigError("task: require 0 < d_min_bits <= d_max_bits")
+        if not self.bitrate_ladder:
+            raise ConfigError("task.bitrate_ladder must not be empty")
         if any(b >= self.original_bitrate_mbps for b in self.bitrate_ladder):
             raise ConfigError("task.bitrate_ladder must stay below the original bitrate")
 
@@ -225,6 +230,10 @@ class Td3Config:
             raise ConfigError("td3 learning rates must be positive")
         if self.target_noise_clip <= 0:
             raise ConfigError("td3.target_noise_clip must be positive")
+        for name in ("exploration_noise_sigma", "target_noise_sigma", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"td3.{name} must be nonnegative, "
+                                  f"got {getattr(self, name)!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError("td3.optimizer must be 'adam' or 'sgd'")
         _require_positive("td3", self, "policy_delay", "batch_size",
@@ -296,38 +305,47 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep_axes.{axis} must be non-empty")
 
 
+# JSON types each annotated leaf type accepts; bool is never an int here.
+_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+               list: (list,)}
+
+
+def _typed(value: Any, hint, where: str):
+    """value as the annotated type hint; ConfigError naming where if its JSON
+    type does not fit."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        return {k: _typed(v, args[1], f"{where}.{k}") for k, v in value.items()}
+    if (not isinstance(value, _LEAF_TYPES[hint])
+            or (isinstance(value, bool) and hint is not bool)):
+        raise ConfigError(f"{where}: expected {hint.__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+    return value
+
+
 def _from_dict(cls, data: Any, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or cls.__name__}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"unknown field '{where}'")
-        ftype = fields[key].type
-        if dataclasses.is_dataclass(_resolve(cls, key)):
-            kwargs[key] = _from_dict(_resolve(cls, key), value, where)
-        elif isinstance(value, list) and "tuple" in str(ftype):
-            kwargs[key] = tuple(value)
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _from_dict(hints[key], value, where)
         else:
-            kwargs[key] = value
+            kwargs[key] = _typed(value, hints[key], where)
     try:
         return cls(**kwargs)
     except TypeError as exc:  # pragma: no cover - defensive
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
-
-
-_NESTED = {
-    SimConfig: {"world": WorldConfig, "chan_d2d": ChannelParams, "chan_uav": ChannelParams,
-                "energy": EnergyParams, "econ": EconParams, "task": TaskParams,
-                "caps": ComputeCaps, "penalty": PenaltyConfig},
-    ExperimentConfig: {"sim": SimConfig, "td3": Td3Config, "ppo": PpoConfig},
-}
-
-
-def _resolve(cls, key):
-    return _NESTED.get(cls, {}).get(key)
 
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:

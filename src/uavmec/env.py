@@ -29,7 +29,7 @@ action without copying the env or drawing from its generator.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from . import channel, compute_energy as ce, economics as econ, libm
 from .config import SimConfig
 from .compute_energy import OffloadSplit, SlotTask, TranscodeLevel
 from .economics import PriceQuote, Weights
-from .world import (UavState, WorldState, associate, clamp_velocity, move,
+from .world import (WorldState, associate, clamp_velocity, move,
                     pairwise_min_distance, spawn_world)
 
 
@@ -87,9 +87,7 @@ class _SlotOutcome(NamedTuple):
     entry: LedgerEntry
     pos: np.ndarray             # (K, 3) after the move
     vel: np.ndarray             # (K, 3)
-    remaining: list[float]      # (K,) battery left
     energy_used: np.ndarray     # (K,) cumulative
-    energy_exceeded: np.ndarray  # (K,) sticky battery flags
 
 
 def action_length(n_uav: int) -> int:
@@ -182,14 +180,14 @@ class OffloadEnv:
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._seed = seed
-        w = replace(self.cfg.world, rng_seed=self._seed)
-        self.world = spawn_world(w)
+        self.world = spawn_world(self.cfg.world, self._seed)
         self.rng = np.random.default_rng([self._seed, 0xE17])
         self.slot = 0
         self.done = False
-        self._initial_uav_pos = self.world.uav_positions().copy()
-        self._energy_used = np.zeros(w.n_uav)
-        self._energy_exceeded = np.zeros(w.n_uav, dtype=bool)
+        self._initial_uav_pos = self.world.uav_pos.copy()
+        # The battery ledger: energy only accrues, so the state's remaining
+        # energy and the battery penalty are both read off this sum.
+        self._energy_used = np.zeros(self.cfg.world.n_uav)
         # Static D2D pairing: each busy UD offloads to its nearest idle UD.
         busy, idle = self.world.busy_pos, self.world.idle_pos
         partner = np.argmin(np.linalg.norm(idle - busy[:, None, :], axis=2), axis=1)
@@ -225,10 +223,11 @@ class OffloadEnv:
         out[4 * n_busy] = ((self._cycles - cfg.task.cycles_per_bit_min) / c_span
                            if c_span > 0 else 0.0)
         uav = out[4 * n_busy + 1:].reshape(-1, 4)
-        pos = w.uav_positions()
+        pos = w.uav_pos
         uav[:, :2] = pos[:, :2] / cfg.world.area_side
         uav[:, 2] = (pos[:, 2] - cfg.world.h_min) / (cfg.world.h_max - cfg.world.h_min)
-        uav[:, 3] = [u.remaining_energy / cfg.world.battery_j for u in w.uavs]
+        battery = cfg.world.battery_j
+        uav[:, 3] = np.maximum(battery - self._energy_used, 0.0) / battery
         return out
 
     def _evaluate(self, act: DecodedAction) -> _SlotOutcome:
@@ -240,8 +239,8 @@ class OffloadEnv:
         n_busy, n_idle, n_uav = cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav
         task = SlotTask(bits=self._bits, cycles_per_bit=self._cycles)
         split = act.split
-        assoc = np.asarray(w.assoc)
-        uav_pos = w.uav_positions()
+        assoc = w.assoc
+        uav_pos = w.uav_pos
 
         def per_ud(x):   # a per-slot guard may have decided all UDs alike
             return x if libm.is_array(x) else np.full(n_busy, x)
@@ -300,16 +299,15 @@ class OffloadEnv:
 
         # Constraint penalties on this slot's configuration.
         pen = cfg.penalty
-        f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(w.uavs) < cfg.world.d_min) else 0.0
+        f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(uav_pos) < cfg.world.d_min) else 0.0
         f3 = pen.f3 if (act.commanded_speeds > cfg.world.v_max * (1 + 1e-12)).any() else 0.0
+        # Every energy term is >= 0, so once used > battery it stays so.
         used = self._energy_used + (e_fly_k + e_trans_k + e_comp_k)
-        exceeded = self._energy_exceeded | (used > cfg.world.battery_j)
-        f2 = pen.f2 if exceeded.any() else 0.0
+        f2 = pen.f2 if (used > cfg.world.battery_j).any() else 0.0
 
         # Kinematics and battery drain; the commit re-associates.
         vel = act.velocities
-        pos = move(uav_pos, np.array([u.vel for u in w.uavs]), vel,
-                   cfg.world.slot_seconds, cfg.world)
+        pos = move(uav_pos, w.uav_vel, vel, cfg.world.slot_seconds, cfg.world)
         remaining = np.maximum(cfg.world.battery_j - used, 0.0).tolist()
         f4 = 0.0
         if self.slot + 1 >= cfg.world.n_slots and pen.f4 > 0:
@@ -327,8 +325,7 @@ class OffloadEnv:
             t_local=t_local, t_off_uav=t_off_uav, t_off_d2d=t_off_d2d,
             uav_rows=[(x, y, z, e) for (x, y, z), e in zip(pos.tolist(), remaining)],
         )
-        return _SlotOutcome(entry=entry, pos=pos, vel=vel, remaining=remaining,
-                            energy_used=used, energy_exceeded=exceeded)
+        return _SlotOutcome(entry=entry, pos=pos, vel=vel, energy_used=used)
 
     def step(self, raw_action) -> tuple[np.ndarray, float, LedgerEntry, bool]:
         if self.done:
@@ -337,11 +334,9 @@ class OffloadEnv:
         # Commit: move the UAVs, drain their batteries, re-associate, and
         # draw the next slot's tasks.
         w = self.world
-        w.uavs[:] = [UavState(pos=p, vel=v, remaining_energy=e, uid=u.uid)
-                     for u, p, v, e in zip(w.uavs, out.pos, out.vel, out.remaining)]
+        w.uav_pos, w.uav_vel = out.pos, out.vel
         self._energy_used = out.energy_used
-        self._energy_exceeded = out.energy_exceeded
-        w.assoc = associate(w.busy_pos, w.uavs)
+        w.assoc = associate(w.busy_pos, w.uav_pos)
         self._draw_tasks()
         self.slot += 1
         self.done = self.slot >= self.cfg.world.n_slots

@@ -26,7 +26,6 @@ class RunArtifact:
     run_dir: str
     convergence_csv: str | None = None
     sweep_csv: str | None = None
-    trajectory_csv: str | None = None
     config_snapshot: str | None = None
     metadata: str | None = None
 
@@ -57,15 +56,15 @@ def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
         return OffloadEnv(sim, s)
     if algo == "td3":
         log, agent = td3_train(factory, cfg.td3, seed)
-        return log.episode_returns, agent.actor, log
+        return log.episode_returns, agent.actor
     if algo == "ddpg":
         log, agent = ddpg_train(factory, cfg.td3, seed)
-        return log.episode_returns, agent.actor, log
+        return log.episode_returns, agent.actor
     if algo == "ppo":
         log, agent = ppo_train(factory, cfg.ppo, seed)
-        return log.episode_returns, agent.mean_net, log
+        return log.episode_returns, agent.mean_net
     if algo == "greedy":
-        return [greedy_baseline(sim, seed)], None, None
+        return [greedy_baseline(sim, seed)], None
     raise ValueError(f"unknown algorithm '{algo}'")
 
 
@@ -86,7 +85,7 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
         fh.write("algorithm,seed,episode,return\n")
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
-                returns, actor, _ = _train_one(algo, cfg.sim, cfg, seed)
+                returns, actor = _train_one(algo, cfg.sim, cfg, seed)
                 for ep, ret in enumerate(returns):
                     fh.write(f"{algo},{seed},{ep},{float(ret)!r}\n")
                 if actor is not None:
@@ -121,7 +120,7 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
         sim = _apply_axis(cfg.sim, axis, value)
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
-                returns, _, _ = _train_one(algo, sim, cfg, seed)
+                returns, _ = _train_one(algo, sim, cfg, seed)
                 detail_rows.append((value, algo, seed, converged_return(returns)))
     detail = os.path.join(run_dir, f"sweep_{axis}_detail.csv")
     with open(detail, "w", encoding="utf-8", newline="") as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,47 +13,34 @@ NO_PAIR_DISTANCE = math.inf
 
 
 @dataclass
-class UavState:
-    pos: np.ndarray            # (3,) meters
-    vel: np.ndarray            # (3,) m/s
-    remaining_energy: float    # joules
-    uid: int
-
-
-@dataclass
 class WorldState:
     cfg: WorldConfig
     busy_pos: np.ndarray       # (I, 3), z = 0
     idle_pos: np.ndarray       # (J, 3), z = 0
-    uavs: list[UavState]
-    assoc: list[int] = field(default_factory=list)   # busy i -> UAV index
+    uav_pos: np.ndarray        # (K, 3) meters
+    uav_vel: np.ndarray        # (K, 3) m/s
+    assoc: np.ndarray          # (I,) int: busy i -> UAV index
 
     def uav_positions(self) -> np.ndarray:
-        return np.array([u.pos for u in self.uavs])
+        """The (K, 3) UAV positions: the uav_pos array itself, not a copy."""
+        return self.uav_pos
 
 
-def spawn_world(cfg: WorldConfig) -> WorldState:
-    """Place UDs and UAVs uniformly at random; deterministic under cfg.rng_seed."""
+def spawn_world(cfg: WorldConfig, seed: int) -> WorldState:
+    """Place UDs and UAVs uniformly at random; deterministic under seed."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     busy = np.zeros((cfg.n_busy, 3))
     busy[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_busy, 2))
     idle = np.zeros((max(cfg.n_idle, 0), 3))
     if cfg.n_idle > 0:
         idle[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_idle, 2))
-    uavs = []
-    for k in range(cfg.n_uav):
-        xy = rng.uniform(0.0, cfg.area_side, size=2)
-        z = rng.uniform(cfg.h_min, cfg.h_max)
-        uavs.append(UavState(
-            pos=np.array([xy[0], xy[1], z]),
-            vel=np.zeros(3),
-            remaining_energy=cfg.battery_j,
-            uid=k,
-        ))
-    world = WorldState(cfg=cfg, busy_pos=busy, idle_pos=idle, uavs=uavs)
-    world.assoc = associate(busy, uavs)
-    return world
+    uav_pos = rng.uniform((0.0, 0.0, cfg.h_min),
+                          (cfg.area_side, cfg.area_side, cfg.h_max),
+                          size=(cfg.n_uav, 3))
+    return WorldState(cfg=cfg, busy_pos=busy, idle_pos=idle, uav_pos=uav_pos,
+                      uav_vel=np.zeros((cfg.n_uav, 3)),
+                      assoc=associate(busy, uav_pos))
 
 
 def clamp_velocity(commanded: np.ndarray, v_max: float) -> np.ndarray:
@@ -85,28 +72,28 @@ def move(pos: np.ndarray, vel: np.ndarray, v_new: np.ndarray, dt: float,
     return np.minimum(np.maximum(pos, lo), hi)
 
 
-def advance_uav(u: UavState, commanded_vel: np.ndarray, dt: float,
-                bounds: WorldConfig) -> UavState:
-    """One kinematic step of one UAV: clamp speed, then :func:`move`."""
+def advance_uav(pos: np.ndarray, vel: np.ndarray, commanded_vel: np.ndarray,
+                dt: float, bounds: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One kinematic step, (3,) or (K, 3): clamp speed, then :func:`move`.
+    Returns the new (pos, vel)."""
     v_new = clamp_velocity(commanded_vel, bounds.v_max)
-    return replace(u, pos=move(u.pos, u.vel, v_new, dt, bounds), vel=v_new)
+    return move(pos, vel, v_new, dt, bounds), v_new
 
 
-def pairwise_min_distance(uavs: list[UavState]) -> float:
-    """Minimum pairwise 3D distance; NO_PAIR_DISTANCE for a single UAV."""
-    if not uavs:
-        raise ValueError("empty UAV list")
-    pos = np.array([u.pos for u in uavs])
-    diff = pos[:, None, :] - pos[None, :, :]
+def pairwise_min_distance(uav_pos: np.ndarray) -> float:
+    """Minimum pairwise 3D distance of (K, 3) positions; NO_PAIR_DISTANCE
+    for a single UAV."""
+    if len(uav_pos) == 0:
+        raise ValueError("no UAV positions")
+    diff = uav_pos[:, None, :] - uav_pos[None, :, :]
     d = np.sqrt(np.vecdot(diff, diff))
     np.fill_diagonal(d, NO_PAIR_DISTANCE)
     return float(d.min())
 
 
-def associate(busy_pos: np.ndarray, uavs: list[UavState]) -> list[int]:
+def associate(busy_pos: np.ndarray, uav_pos: np.ndarray) -> np.ndarray:
     """Map each busy UD to its nearest UAV (3D distance, ties -> lowest index)."""
-    if not uavs:
+    if len(uav_pos) == 0:
         raise ValueError("need at least one UAV to associate")
-    uav_pos = np.array([u.pos for u in uavs])
     d = np.linalg.norm(uav_pos - np.atleast_2d(busy_pos)[:, None, :], axis=2)
-    return np.argmin(d, axis=1).tolist()  # argmin breaks ties at lowest index
+    return np.argmin(d, axis=1)  # argmin breaks ties at lowest index

@@ -4,13 +4,12 @@ import pytest
 from uavmec.config import SimConfig
 
 
-def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10, seed=0) -> SimConfig:
+def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10) -> SimConfig:
     cfg = SimConfig()
     cfg.world.n_busy = n_busy
     cfg.world.n_idle = n_idle
     cfg.world.n_uav = n_uav
     cfg.world.n_slots = n_slots
-    cfg.world.rng_seed = seed
     return cfg
 
 

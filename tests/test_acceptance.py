@@ -209,7 +209,7 @@ def _monolithic_reward(sim: SimConfig, env: OffloadEnv, raw: np.ndarray) -> floa
     w, cp, ep, ec, tp = sim.world, sim.caps, sim.energy, sim.econ, sim.task
     busy = env.world.busy_pos[0]
     idle = env.world.idle_pos[0]
-    uav = env.world.uavs[0].pos.copy()
+    uav = env.world.uav_pos[0].copy()
     bits = float(env._bits[0])
     cyc = float(env._cycles)
 

@@ -130,11 +130,11 @@ class TestStep:
 
     def test_remaining_energy_nonincreasing(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 4)
-        prev = [u.remaining_energy for u in env.world.uavs]
+        prev = [sim_cfg.world.battery_j] * sim_cfg.world.n_uav
         done = False
         while not done:
-            _, _, _, done = env.step(np.zeros(env.action_dim))
-            cur = [u.remaining_energy for u in env.world.uavs]
+            _, _, entry, done = env.step(np.zeros(env.action_dim))
+            cur = [row[3] for row in entry.uav_rows]
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
 
@@ -147,7 +147,7 @@ class TestStep:
 
     def test_proximity_penalty_fires(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 1)
-        env.world.uavs[1].pos = env.world.uavs[0].pos + np.array([0.0, 0.0, 1.0])
+        env.world.uav_pos[1] = env.world.uav_pos[0] + np.array([0.0, 0.0, 1.0])
         _, _, e, _ = env.step(np.zeros(env.action_dim))
         assert e.f1 == sim_cfg.penalty.f1
 
@@ -229,11 +229,10 @@ class TestPeekReward:
         env.step(np.random.default_rng(1).uniform(-1, 1, env.action_dim))
 
         def snapshot():
-            uavs = [(u.pos.copy(), u.vel.copy(), u.remaining_energy)
-                    for u in env.world.uavs]
-            return (uavs, list(env.world.assoc), env.slot, env.done,
+            uavs = (env.world.uav_pos.copy(), env.world.uav_vel.copy(),
+                    env._energy_used.copy())
+            return (uavs, env.world.assoc.tolist(), env.slot, env.done,
                     env._bits.copy(), env._cycles, env._normals.copy(),
-                    env._energy_used.copy(), env._energy_exceeded.copy(),
                     env.rng.bit_generator.state)
 
         before = snapshot()
@@ -242,12 +241,11 @@ class TestPeekReward:
             env.peek_reward(rng.uniform(-1, 1, env.action_dim))
         after = snapshot()
         for u, v in zip(before[0], after[0]):
-            assert np.array_equal(u[0], v[0]) and np.array_equal(u[1], v[1])
-            assert u[2] == v[2]
+            assert np.array_equal(u, v)
         assert before[1:4] == after[1:4]
-        for x, y in zip(before[4:9], after[4:9]):
+        for x, y in zip(before[4:7], after[4:7]):
             assert np.array_equal(x, y)
-        assert before[9] == after[9]
+        assert before[7] == after[7]
 
     def test_greedy_search_neither_steps_nor_clones(self, sim_cfg):
         calls = []

@@ -10,7 +10,7 @@ import pytest
 from conftest import small_sim
 from uavmec import cli, harness
 from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, Td3Config,
-                           load_experiment, save_experiment)
+                           experiment_from_dict, load_experiment, save_experiment)
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.td3 import load_actor, td3_train
@@ -226,6 +226,15 @@ class TestCli:
         assert err.startswith("ERROR ")
         json.loads(err[len("ERROR "):])
 
+    def test_ill_typed_config_reports_error_json(self, out_root, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump({"sim": {"world": {"n_busy": "abc"}}}, fh)
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert "sim.world.n_busy" in json.loads(err[len("ERROR "):])["error"]
+
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2
         assert capsys.readouterr().err.startswith("ERROR ")
@@ -250,6 +259,9 @@ class TestConfigErrors:
         ("ppo", "rollout_episodes", 0),
         ("ppo", "episodes", -1),
         ("ppo", "hidden", (16, 0)),
+        ("td3", "exploration_noise_sigma", -0.1),
+        ("td3", "target_noise_sigma", -0.2),
+        ("td3", "warmup_steps", -1),
     ])
     def test_learner_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
@@ -258,6 +270,42 @@ class TestConfigErrors:
         setattr(getattr(cfg, section), field, value)
         with pytest.raises(ConfigError, match=f"{section}.{field}"):
             cfg.validate()
+
+    def test_zero_noise_and_warmup_allowed(self):
+        cfg = tiny_experiment()
+        cfg.td3.exploration_noise_sigma = 0.0
+        cfg.td3.target_noise_sigma = 0.0
+        cfg.td3.warmup_steps = 0
+        cfg.validate()
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("world", "n_slots", 0),
+        ("world", "battery_j", 0.0),
+        ("task", "bitrate_ladder", ()),
+    ])
+    def test_sim_range_names_field(self, section, field, value):
+        cfg = tiny_experiment()
+        cfg.validate()
+        setattr(getattr(cfg.sim, section), field, value)
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("blob,path", [
+        ({"sim": {"world": {"n_busy": "abc"}}}, r"sim\.world\.n_busy"),
+        ({"seeds": 3}, "seeds"),
+        ({"sim": {"world": {"n_uav": 2.5}}}, r"sim\.world\.n_uav"),
+        ({"sim": {"world": {"n_uav": True}}}, r"sim\.world\.n_uav"),
+        ({"sim": {"deterministic_fading": "yes"}}, r"sim\.deterministic_fading"),
+        ({"sim": {"task": {"bitrate_ladder": [0.4, "x"]}}},
+         r"sim\.task\.bitrate_ladder\[1\]"),
+    ])
+    def test_ill_typed_leaf_names_path(self, blob, path):
+        with pytest.raises(ConfigError, match=path):
+            experiment_from_dict(blob)
+
+    def test_int_accepted_for_float_field(self):
+        cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
+        assert cfg.sim.world.area_side == 100
 
     def test_zero_rollout_episodes_raises_instead_of_hanging(self):
         cfg = PpoConfig(episodes=2, rollout_episodes=0, hidden=(8,))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uavmec.config import WorldConfig
-from uavmec.world import (NO_PAIR_DISTANCE, UavState, advance_uav, associate,
+from uavmec.config import SimConfig, WorldConfig
+from uavmec.env import OffloadEnv
+from uavmec.world import (NO_PAIR_DISTANCE, advance_uav, associate,
                           pairwise_min_distance, spawn_world)
 
 
@@ -14,117 +15,111 @@ def cfg(**kw) -> WorldConfig:
 
 class TestSpawn:
     def test_deterministic_under_seed(self):
-        a = spawn_world(cfg(rng_seed=7))
-        b = spawn_world(cfg(rng_seed=7))
+        a = spawn_world(cfg(), 7)
+        b = spawn_world(cfg(), 7)
         assert np.array_equal(a.busy_pos, b.busy_pos)
         assert np.array_equal(a.idle_pos, b.idle_pos)
-        for ua, ub in zip(a.uavs, b.uavs):
-            assert np.array_equal(ua.pos, ub.pos)
+        for pa, pb in zip(a.uav_pos, b.uav_pos):
+            assert np.array_equal(pa, pb)
 
     def test_positions_within_area(self):
-        w = spawn_world(cfg(area_side=200.0, rng_seed=3))
+        w = spawn_world(cfg(area_side=200.0), 3)
         assert np.all(w.busy_pos[:, :2] >= 0) and np.all(w.busy_pos[:, :2] <= 200)
         assert np.all(w.busy_pos[:, 2] == 0)
-        for u in w.uavs:
-            assert 0 <= u.pos[0] <= 200 and 0 <= u.pos[1] <= 200
-            assert 100 <= u.pos[2] <= 200
+        for pos in w.uav_pos:
+            assert 0 <= pos[0] <= 200 and 0 <= pos[1] <= 200
+            assert 100 <= pos[2] <= 200
 
     def test_battery_initialized(self):
-        w = spawn_world(cfg(n_uav=5, battery_j=20_000.0))
-        assert all(u.remaining_energy == 20_000.0 for u in w.uavs)
+        # The battery is the env's ledger; the state reads it as energy/battery.
+        env = OffloadEnv(SimConfig(world=cfg(n_uav=5, battery_j=20_000.0)), 0)
+        energy = env.state()[-4 * 5:].reshape(5, 4)[:, 3] * 20_000.0
+        assert all(e == 20_000.0 for e in energy)
 
     def test_velocities_start_zero(self):
-        w = spawn_world(cfg())
-        assert all(np.all(u.vel == 0) for u in w.uavs)
+        w = spawn_world(cfg(), 0)
+        assert all(np.all(vel == 0) for vel in w.uav_vel)
 
 
 class TestAdvance:
     def test_hover_is_idempotent(self):
         c = cfg()
-        u = UavState(pos=np.array([50.0, 50.0, 150.0]), vel=np.zeros(3),
-                     remaining_energy=1.0, uid=0)
-        u2 = advance_uav(u, np.zeros(3), 1.0, c)
-        assert np.array_equal(u2.pos, u.pos)
+        pos = np.array([50.0, 50.0, 150.0])
+        pos2, _ = advance_uav(pos, np.zeros(3), np.zeros(3), 1.0, c)
+        assert np.array_equal(pos2, pos)
 
     def test_speed_clamped_to_vmax(self):
         c = cfg(v_max=25.0)
-        u = UavState(pos=np.array([50.0, 50.0, 150.0]), vel=np.zeros(3),
-                     remaining_energy=1.0, uid=0)
-        u2 = advance_uav(u, np.array([40.0, 0.0, 0.0]), 1.0, c)
-        assert np.linalg.norm(u2.vel) == pytest.approx(25.0)
+        pos = np.array([50.0, 50.0, 150.0])
+        _, vel2 = advance_uav(pos, np.zeros(3), np.array([40.0, 0.0, 0.0]), 1.0, c)
+        assert np.linalg.norm(vel2) == pytest.approx(25.0)
 
     def test_midpoint_displacement(self):
         # from rest, commanded (2,0,0) over dt=1: a = 2, displacement = 0.5*a = 1
         c = cfg()
-        u = UavState(pos=np.array([50.0, 50.0, 150.0]), vel=np.zeros(3),
-                     remaining_energy=1.0, uid=0)
-        u2 = advance_uav(u, np.array([2.0, 0.0, 0.0]), 1.0, c)
-        assert u2.pos[0] == pytest.approx(51.0)
+        pos = np.array([50.0, 50.0, 150.0])
+        pos2, _ = advance_uav(pos, np.zeros(3), np.array([2.0, 0.0, 0.0]), 1.0, c)
+        assert pos2[0] == pytest.approx(51.0)
 
     def test_altitude_and_box_clamped(self):
         c = cfg(area_side=200.0, h_min=100.0, h_max=200.0, v_max=25.0)
-        u = UavState(pos=np.array([1.0, 1.0, 101.0]), vel=np.zeros(3),
-                     remaining_energy=1.0, uid=0)
+        pos, vel = np.array([1.0, 1.0, 101.0]), np.zeros(3)
         for _ in range(30):
-            u = advance_uav(u, np.array([-20.0, -20.0, -20.0]), 1.0, c)
-            assert 0 <= u.pos[0] <= 200 and 0 <= u.pos[1] <= 200
-            assert 100 <= u.pos[2] <= 200
-            assert np.linalg.norm(u.vel) <= 25.0 + 1e-12
+            pos, vel = advance_uav(pos, vel, np.array([-20.0, -20.0, -20.0]), 1.0, c)
+            assert 0 <= pos[0] <= 200 and 0 <= pos[1] <= 200
+            assert 100 <= pos[2] <= 200
+            assert np.linalg.norm(vel) <= 25.0 + 1e-12
 
     def test_rejects_nonpositive_dt(self):
-        u = UavState(pos=np.zeros(3), vel=np.zeros(3), remaining_energy=1.0, uid=0)
         with pytest.raises(ValueError):
-            advance_uav(u, np.zeros(3), 0.0, cfg())
+            advance_uav(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, cfg())
+
+
+def _uavs(*rows) -> np.ndarray:
+    """(K, 3) UAV positions."""
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 class TestPairwiseDistance:
-    def _uav(self, x, y, z, uid=0):
-        return UavState(pos=np.array([x, y, z], dtype=float), vel=np.zeros(3),
-                        remaining_energy=1.0, uid=uid)
-
     def test_axis_aligned(self):
-        d = pairwise_min_distance([self._uav(0, 0, 100), self._uav(0, 0, 103)])
+        d = pairwise_min_distance(_uavs((0, 0, 100), (0, 0, 103)))
         assert d == pytest.approx(3.0)
 
     def test_single_uav_sentinel(self):
-        assert pairwise_min_distance([self._uav(0, 0, 100)]) == NO_PAIR_DISTANCE
+        assert pairwise_min_distance(_uavs((0, 0, 100))) == NO_PAIR_DISTANCE
         assert math.isinf(NO_PAIR_DISTANCE)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            pairwise_min_distance([])
+            pairwise_min_distance(_uavs())
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        uavs = [self._uav(*rng.uniform(0, 200, 3), uid=i) for i in range(6)]
+        uavs = _uavs(*(rng.uniform(0, 200, 3) for _ in range(6)))
         expected = min(
-            np.linalg.norm(uavs[a].pos - uavs[b].pos)
+            np.linalg.norm(uavs[a] - uavs[b])
             for a in range(6) for b in range(a + 1, 6)
         )
         assert pairwise_min_distance(uavs) == pytest.approx(expected)
 
 
 class TestAssociate:
-    def _uav(self, x, y, z, uid=0):
-        return UavState(pos=np.array([x, y, z], dtype=float), vel=np.zeros(3),
-                        remaining_energy=1.0, uid=uid)
-
     def test_single_uav_takes_all(self):
         busy = np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 0.0]])
-        assert associate(busy, [self._uav(50, 50, 150)]) == [0, 0]
+        assert associate(busy, _uavs((50, 50, 150))).tolist() == [0, 0]
 
     def test_nearest_wins(self):
         busy = np.array([[0.0, 0.0, 0.0]])
-        uavs = [self._uav(10, 0, 100, 0), self._uav(150, 150, 100, 1)]
-        assert associate(busy, uavs) == [0]
+        uavs = _uavs((10, 0, 100), (150, 150, 100))
+        assert associate(busy, uavs).tolist() == [0]
 
     def test_tie_breaks_to_lower_index(self):
         busy = np.array([[50.0, 50.0, 0.0]])
-        uavs = [self._uav(0, 50, 100, 0), self._uav(100, 50, 100, 1)]
-        assert associate(busy, uavs) == [0]
+        uavs = _uavs((0, 50, 100), (100, 50, 100))
+        assert associate(busy, uavs).tolist() == [0]
 
     def test_at_most_one_uav_per_busy(self):
-        w = spawn_world(cfg(rng_seed=5))
+        w = spawn_world(cfg(), 5)
         # one association index per busy UD by construction
         assert len(w.assoc) == w.cfg.n_busy
         assert all(0 <= k < w.cfg.n_uav for k in w.assoc)
