@@ -9,8 +9,7 @@ UAVs, more idle helpers, and more UAV compute.
 import numpy as np
 
 from uavmec.baseline import greedy_baseline, zeros_baseline
-from uavmec.config import SimConfig, WorldConfig
-from uavmec.harness import _apply_axis
+from uavmec.config import SimConfig, WorldConfig, apply_axis
 
 base = SimConfig(world=WorldConfig(n_busy=4, n_idle=2, n_uav=2, n_slots=10))
 
@@ -22,7 +21,7 @@ for axis, values in (("n_uav", [1, 2, 3]),
                      ("f_k_max", [10e9, 20e9, 30e9])):
     means = []
     for v in values:
-        sim = _apply_axis(base, axis, v)
+        sim = apply_axis(base, axis, v)
         means.append(np.mean([greedy_baseline(sim, s) for s in range(5)]))
     pretty = [f"{v/1e9:.0f} GHz" if axis == "f_k_max" else str(v) for v in values]
     print(f"{axis:8s}: " + "   ".join(f"{p} -> {m:.0f}"

@@ -29,23 +29,29 @@ def steering_velocities(env: OffloadEnv) -> np.ndarray:
 
 
 def greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
-    """Coordinate-wise argmax over the 3-point grid for each scalar dim."""
+    """Coordinate-wise argmax over the 3-point grid for each scalar dim.
+
+    Each dim scores its whole grid in one :meth:`OffloadEnv.peek_rewards`
+    call, then takes, in GRID order, each value whose reward is strictly
+    greater than the best so far. The current value is on the grid and its
+    row scores the current action, whose reward is the best so far; rows
+    are scored independently. So this picks the action that probing one
+    value at a time, skipping the current one, would.
+    """
     k = env.cfg.world.n_uav
     action = np.zeros(env.action_dim)
     action[11:11 + 3 * k] = steering_velocities(env)
     scalar_idx = list(range(0, 11)) + [11 + 3 * k]
-    best_reward = env.peek_reward(action)
     for _ in range(passes):
         for dim in scalar_idx:
-            for candidate in GRID:
-                if candidate == action[dim]:
-                    continue
-                trial = action.copy()
-                trial[dim] = candidate
-                r = env.peek_reward(trial)
-                if r > best_reward:
-                    best_reward = r
-                    action = trial
+            trials = np.repeat(action[None], len(GRID), axis=0)
+            trials[:, dim] = GRID
+            rewards = env.peek_rewards(trials).tolist()
+            best = rewards[GRID.index(action[dim])]
+            for value, r in zip(GRID, rewards):
+                if r > best:
+                    best = r
+                    action[dim] = value
     return action
 
 

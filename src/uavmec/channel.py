@@ -28,7 +28,7 @@ def link_distance(a, b):
 
 
 def _check_distance(d) -> None:
-    if (np.asarray(d) <= 0).any():
+    if np.count_nonzero(np.asarray(d) <= 0):
         raise ValueError("link distance must be positive")
 
 
@@ -59,6 +59,6 @@ def rate(bw: float, tx_power: float, gain_sq, noise: float):
     """Shannon rate bw * log2(1 + snr) in bits/s; zero at zero transmit power."""
     if bw <= 0 or noise <= 0:
         raise ValueError("bandwidth and noise power must be positive")
-    if tx_power < 0 or (np.asarray(gain_sq) < 0).any():
+    if tx_power < 0 or np.count_nonzero(np.asarray(gain_sq) < 0):
         raise ValueError("tx_power and gain_sq must be nonnegative")
     return bw * libm.log2(1.0 + tx_power * gain_sq / noise)

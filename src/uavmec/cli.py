@@ -20,7 +20,7 @@ import sys
 
 from . import harness
 from .baseline import greedy_baseline
-from .config import ConfigError, load_experiment
+from .config import SWEEP_AXES, ConfigError, load_experiment
 from .td3 import load_actor
 
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one scenario axis")
     sweep_p.add_argument("config")
-    sweep_p.add_argument("--axis", required=True, choices=harness.AXES)
+    sweep_p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     sweep_p.add_argument("--name", default=None)
 
     traj_p = sub.add_parser(

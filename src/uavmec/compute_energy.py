@@ -3,9 +3,12 @@ plus the rotary-wing propulsion model.
 
 Per-UD quantities (task bits, link rates, compute shares, transcoded bits)
 and UAV speeds may be arrays, one element per UD or UAV; a formula then
-returns an array of the same shape, or a scalar where a per-slot guard
-(an empty split share, zero compute) decides every element alike. The split
-fractions and the busy and UAV compute levels are per-slot scalars.
+returns an array of the same shape. The split fractions, the busy and UAV
+compute levels and the transcode level are scalars for one action, or
+(B, 1) columns for a batch of B actions, which broadcast against the per-UD
+axis into one (B, I) row per action. The guards for an empty split share and
+for zero compute then act row by row; given scalars they return a scalar
+where the guard decides every element alike.
 """
 
 from __future__ import annotations
@@ -49,27 +52,32 @@ class UnassociatedOffload(RuntimeError):
     """Raised when a positive UAV offload fraction has no associated UAV."""
 
 
+# The guards test their masks with count_nonzero, not .all()/.any(): on the
+# few elements of a slot it is several times cheaper than a reduction.
+
 def _ratio_or_inf(num, den):
     """num / den where den > 0 and inf where it is not, elementwise."""
     if not libm.is_array(den):
         return num / den if den > 0 else math.inf
     ok = den > 0
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:
         return num / den
     return np.where(ok, num / np.where(ok, den, 1.0), math.inf)
 
 
 def _zero_if_no_work(amount, value):
-    """value, but 0.0 wherever amount is zero: no work takes no time."""
+    """value, but 0.0 wherever amount (a split share or a work size) is
+    zero: no work takes no time."""
     if not libm.is_array(amount):
         return 0.0 if amount == 0.0 else value
+    if np.count_nonzero(amount) == amount.size:
+        return value
     return np.where(amount == 0.0, 0.0, value)
 
 
 def local_delay(t: SlotTask, split: OffloadSplit, f_local: float):
-    if split.eps3 == 0.0:
-        return 0.0
-    return _ratio_or_inf(split.eps3 * t.bits * t.cycles_per_bit, f_local)
+    return _zero_if_no_work(
+        split.eps3, _ratio_or_inf(split.eps3 * t.bits * t.cycles_per_bit, f_local))
 
 
 def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float):
@@ -78,7 +86,7 @@ def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float)
 
 def flight_power(v, p: EnergyParams):
     """Propulsion power at horizontal speed v (W): parasite + blade + induced."""
-    if (np.asarray(v) < 0).any():
+    if np.count_nonzero(np.asarray(v) < 0):
         raise ValueError("speed must be nonnegative")
     sqrt = np.sqrt if libm.is_array(v) else math.sqrt
     v2 = libm.power(v, 2)
@@ -98,11 +106,11 @@ def flight_energy(v, dt: float, p: EnergyParams):
 
 
 def uplink_delay_uav(t: SlotTask, split: OffloadSplit, rate_to_assoc_uav):
-    if split.eps1 == 0.0:
-        return 0.0
     if rate_to_assoc_uav is None:
-        raise UnassociatedOffload("eps1 > 0 but the busy UD has no associated UAV")
-    return _ratio_or_inf(split.eps1 * t.bits, rate_to_assoc_uav)
+        if np.any(split.eps1 != 0.0):
+            raise UnassociatedOffload("eps1 > 0 but the busy UD has no associated UAV")
+        return 0.0
+    return _zero_if_no_work(split.eps1, _ratio_or_inf(split.eps1 * t.bits, rate_to_assoc_uav))
 
 
 def uplink_energy(tx_power: float, delay):
@@ -111,7 +119,7 @@ def uplink_energy(tx_power: float, delay):
 
 def transcode_cycles_per_bit(level: TranscodeLevel, p: EnergyParams) -> float:
     """Cycles per bit for transcoding to the target bitrate: m1 * b^m2 (b in Mbps)."""
-    return p.m1 * level.bitrate_mbps ** p.m2
+    return p.m1 * libm.power(level.bitrate_mbps, p.m2)
 
 
 def transcode_time(cycles_total, f_uav: float):
@@ -121,9 +129,12 @@ def transcode_time(cycles_total, f_uav: float):
 def transcode_energy(f_uav: float, time_s, p: EnergyParams):
     # Zero frequency does no work even though the job would never finish
     # (time_s is inf there); guard avoids 0 * inf.
-    if f_uav <= 0.0:
-        return 0.0
-    return p.s1 * libm.power(f_uav, p.y1) * time_s
+    if not libm.is_array(f_uav):
+        return 0.0 if f_uav <= 0.0 else p.s1 * libm.power(f_uav, p.y1) * time_s
+    idle = f_uav <= 0.0
+    if not np.count_nonzero(idle):
+        return p.s1 * libm.power(f_uav, p.y1) * time_s
+    return np.where(idle, 0.0, p.s1 * libm.power(f_uav, p.y1) * np.where(idle, 0.0, time_s))
 
 
 def transcoded_bits(t: SlotTask, split: OffloadSplit, level: TranscodeLevel):
@@ -140,21 +151,21 @@ def uav_compute_energy(f_uav: float, d_prime, ck: float, kappa: float):
 
 
 def d2d_delay(t: SlotTask, split: OffloadSplit, rate_d2d):
-    if split.eps2 == 0.0:
-        return 0.0
-    return _ratio_or_inf(split.eps2 * t.bits, rate_d2d)
+    return _zero_if_no_work(split.eps2, _ratio_or_inf(split.eps2 * t.bits, rate_d2d))
 
 
 def idle_compute_delay(t: SlotTask, split: OffloadSplit, f_idle):
-    if split.eps2 == 0.0:
-        return 0.0
-    return _ratio_or_inf(split.eps2 * t.bits * t.cycles_per_bit, f_idle)
+    return _zero_if_no_work(
+        split.eps2, _ratio_or_inf(split.eps2 * t.bits * t.cycles_per_bit, f_idle))
 
 
 def idle_compute_energy(t: SlotTask, split: OffloadSplit, f_idle, kappa: float):
     return kappa * libm.power(f_idle, 2) * split.eps2 * t.bits * t.cycles_per_bit
 
 
-def ladder_level(task: TaskParams, index: int) -> TranscodeLevel:
-    return TranscodeLevel(bitrate_mbps=task.bitrate_ladder[index],
+def ladder_level(task: TaskParams, index) -> TranscodeLevel:
+    """The ladder rung at index, an int or an array of them."""
+    ladder = task.bitrate_ladder
+    return TranscodeLevel(bitrate_mbps=np.asarray(ladder)[index] if libm.is_array(index)
+                          else ladder[index],
                           original_bitrate_mbps=task.original_bitrate_mbps)

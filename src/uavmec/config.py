@@ -268,6 +268,21 @@ class PpoConfig:
         _require_positive_widths("ppo", self.hidden)
 
 
+# Sweep axis -> the (SimConfig section, field) it sets.
+SWEEP_AXES = {"n_uav": ("world", "n_uav"), "n_idle": ("world", "n_idle"),
+              "n_busy": ("world", "n_busy"), "f_k_max": ("caps", "f_uav_max")}
+
+
+def apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
+    """A copy of sim with the field behind a sweep axis set to value; sim
+    itself is untouched."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis '{axis}'")
+    section, name = SWEEP_AXES[axis]
+    part = dataclasses.replace(getattr(sim, section), **{name: value})
+    return dataclasses.replace(sim, **{section: part})
+
+
 @dataclass
 class ExperimentConfig:
     sim: SimConfig = field(default_factory=SimConfig)
@@ -299,10 +314,19 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         for axis, values in self.sweep_axes.items():
-            if axis not in ("n_uav", "n_idle", "n_busy", "f_k_max"):
+            if axis not in SWEEP_AXES:
                 raise ConfigError(f"sweep_axes: unknown axis '{axis}'")
             if not values:
                 raise ConfigError(f"sweep_axes.{axis} must be non-empty")
+            section, name = SWEEP_AXES[axis]
+            hint = typing.get_type_hints(type(getattr(self.sim, section)))[name]
+            for i, value in enumerate(values):
+                where = f"sweep_axes.{axis}[{i}]"
+                _typed(value, hint, where)
+                try:
+                    apply_axis(self.sim, axis, value).validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
 
 
 # JSON types each annotated leaf type accepts; bool is never an int here.

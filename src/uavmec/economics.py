@@ -7,12 +7,16 @@ costs; raw cycles/s would let pricing terms dwarf everything else. Energy
 terms are joules converted to currency through econ.energy_price.
 
 The utilities are plain arithmetic, so their energy arguments may also be
-arrays (one element per UAV, idle UD or busy UD), giving one utility each.
+arrays (one element per UAV, idle UD or busy UD), giving one utility each,
+and the per-action arguments (split, compute levels, prices, weights) may be
+one value per action of a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import ComputeCaps, EconParams
 
@@ -56,7 +60,7 @@ def incentive_factors(caps: ComputeCaps) -> IncentiveFactors:
 
 def uav_inconvenience(eps1: float, econ: EconParams) -> float:
     """beta_k = 1 / (1 - eps1), with eps1 capped to keep the factor bounded."""
-    return 1.0 / (1.0 - min(eps1, econ.eps1_cap))
+    return 1.0 / (1.0 - np.minimum(eps1, econ.eps1_cap))
 
 
 def uav_utility(f_uav: float, p_uav: float, e_transcode: float, e_fly: float,

@@ -19,16 +19,22 @@ Each step evaluates the slot's physics and economics at the current
 positions, assesses constraint penalties, then advances the UAVs, drains
 their batteries, re-associates, and draws the next slot's tasks.
 
-The slot evaluation is one array pass over all busy UDs (per-UAV and
-per-idle-UD totals by ``np.bincount``) and a pure function of the world,
-the drawn tasks and the action: the fading normals of a slot are drawn
-together with its tasks, so :meth:`OffloadEnv.peek_reward` scores an
-action without copying the env or drawing from its generator.
+The slot evaluation is one array pass over all busy UDs, for one action or
+for a batch of B actions. In a batch each action's scalars (split, compute
+levels, prices, weights) are (B, 1) columns against the per-UD axis, and the
+per-UAV and per-idle-UD totals are one ``np.bincount`` each over row-offset
+indices; one action's scalars are plain floats. The evaluation is a pure
+function of the world, the drawn tasks and the actions: a slot's fading
+normals are drawn together with its tasks, and its link distances, gains and
+rates are fixed right then, so :meth:`OffloadEnv.peek_rewards` scores any
+number of actions without copying the env or drawing from its generator.
+:meth:`OffloadEnv.step` is the same evaluation of one action plus the commit.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,14 +50,17 @@ from .world import (WorldState, associate, clamp_velocity, move,
 
 @dataclass
 class DecodedAction:
+    """One decoded action, or a batch of them: every field has the raw
+    input's leading shape, a scalar for one (A,) vector and a (B,) array
+    for a (B, A) batch (velocities (..., K, 3), commanded speeds (..., K))."""
     split: OffloadSplit
     f_busy: float
     f_idle: float
     f_uav: float
     prices: PriceQuote
     weights: Weights
-    velocities: np.ndarray        # (K, 3), speed-clamped
-    commanded_speeds: np.ndarray  # (K,), pre-clamp magnitudes
+    velocities: np.ndarray        # (..., K, 3), speed-clamped
+    commanded_speeds: np.ndarray  # (..., K), pre-clamp magnitudes
     level: TranscodeLevel
     level_index: int
 
@@ -83,11 +92,23 @@ class LedgerEntry:
 
 
 class _SlotOutcome(NamedTuple):
-    """A slot's ledger entry and the UAV state it leaves behind."""
-    entry: LedgerEntry
-    pos: np.ndarray             # (K, 3) after the move
-    vel: np.ndarray             # (K, 3)
-    energy_used: np.ndarray     # (K,) cumulative
+    """Evaluated slots and the UAV states they leave behind, with the decoded
+    action's leading shape L: () for one action, (B,) for a batch. A row
+    field that no action changes (F1, or F4 before the last slot) is one
+    float for all rows."""
+    rows: dict[str, np.ndarray]     # LedgerEntry fields, shape L
+    totals: dict[str, np.ndarray]   # ledger energy totals by party, L + (K,) or L + (J,)
+    pos: np.ndarray                 # L + (K, 3) after the move
+    vel: np.ndarray                 # L + (K, 3)
+    energy_used: np.ndarray         # L + (K,) cumulative
+
+    def entry(self, slot: int, battery_j: float) -> LedgerEntry:
+        """The ledger entry of a one-action outcome."""
+        remaining = np.maximum(battery_j - self.energy_used, 0.0).tolist()
+        return LedgerEntry(
+            slot=slot, **self.rows,
+            **{name: float(v.sum()) for name, v in self.totals.items()},
+            uav_rows=[(x, y, z, e) for (x, y, z), e in zip(self.pos.tolist(), remaining)])
 
 
 def action_length(n_uav: int) -> int:
@@ -99,12 +120,9 @@ def state_length(n_busy: int, n_uav: int) -> int:
 
 
 def _softmax3(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
-
-
-def _affine(raw: float, lo: float, hi: float) -> float:
-    return lo + (float(raw) + 1.0) * 0.5 * (hi - lo)
+    """Softmax over the last axis of length 3."""
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def _running_sums(rows: np.ndarray) -> np.ndarray:
@@ -113,42 +131,52 @@ def _running_sums(rows: np.ndarray) -> np.ndarray:
     return 0.0 + np.cumsum(rows, axis=-1)[..., -1]
 
 
+_LOGITS = np.array([0, 1, 2, 8, 9, 10])
+
+
 def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
-    """Map a raw action vector onto the feasible set.
+    """Map a raw action vector (A,), or a batch of them (B, A), onto the
+    feasible set.
 
     Finite entries outside [-1, 1] are clipped into it; a non-finite entry
-    raises ValueError naming its index.
+    raises ValueError naming its index (and, in a batch, its row).
     """
     raw = np.asarray(raw, dtype=float)
     k = cfg.world.n_uav
-    if raw.shape != (action_length(k),):
+    if raw.ndim not in (1, 2) or raw.shape[-1] != action_length(k):
         raise ValueError(f"action vector must have length {action_length(k)}, "
                          f"got shape {raw.shape}")
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"action entry {i} is not finite ({float(raw[i])})")
-    raw = np.clip(raw, -1.0, 1.0)
-    s = _softmax3(raw[0:3])
-    split = OffloadSplit(eps1=float(s[0]), eps2=float(s[1]), eps3=float(s[2]))
-    f_busy = _affine(raw[3], 0.0, cfg.caps.f_busy_max)
-    f_idle = _affine(raw[4], 0.0, cfg.caps.f_idle_max)
-    f_uav = _affine(raw[5], 0.0, cfg.caps.f_uav_max)
-    prices = PriceQuote(
-        p_uav=_affine(raw[6], cfg.econ.p_uav_min, cfg.econ.p_uav_max),
-        p_idle=_affine(raw[7], cfg.econ.p_idle_min, cfg.econ.p_idle_max),
-    )
-    w = _softmax3(raw[8:11])
-    weights = Weights(w1=float(w[0]), w2=float(w[1]), w3=float(w[2]))
-    vel_raw = raw[11:11 + 3 * k].reshape(k, 3) * cfg.world.v_max
-    commanded = np.linalg.norm(vel_raw, axis=1)
+    finite = np.isfinite(raw)
+    if np.count_nonzero(finite) != finite.size:
+        *row, i = np.argwhere(~finite)[0].tolist()
+        at = f"row {row[0]} " if row else ""
+        raise ValueError(f"action {at}entry {i} is not finite ({raw[(*row, i)]})")
+    raw = np.minimum(np.maximum(raw, -1.0), 1.0)   # np.clip, minus its overhead
+    # Split logits [0:3] and weight logits [8:11] in one softmax; compute
+    # levels [3:6] and prices [6:8] in one affine map onto [lo, hi].
+    s = _softmax3(raw[..., _LOGITS].reshape(raw.shape[:-1] + (2, 3)))
+    caps, ec = cfg.caps, cfg.econ
+    lo = np.array([0.0, 0.0, 0.0, ec.p_uav_min, ec.p_idle_min])
+    hi = np.array([caps.f_busy_max, caps.f_idle_max, caps.f_uav_max, ec.p_uav_max,
+                   ec.p_idle_max])
+    u = lo + (raw[..., 3:8] + 1.0) * 0.5 * (hi - lo)
+    n_levels = len(cfg.task.bitrate_ladder)
+    rung = (raw[..., 11 + 3 * k] + 1.0) * 0.5 * n_levels
+    if raw.ndim == 1:    # plain floats, as the scalar formulas take them
+        (eps, w), levels = s.tolist(), u.tolist()
+        idx = min(int(rung), n_levels - 1)
+    else:                # one (B,) array per quantity
+        (eps, w), levels = s.transpose(1, 2, 0), u.T
+        idx = np.minimum(rung.astype(int), n_levels - 1)
+    f_busy, f_idle, f_uav, p_uav, p_idle = levels
+    vel_raw = raw[..., 11:11 + 3 * k].reshape(raw.shape[:-1] + (k, 3)) * cfg.world.v_max
+    commanded = np.sqrt(np.add.reduce(vel_raw * vel_raw, axis=-1))  # norm(axis=-1)
     velocities = clamp_velocity(vel_raw, cfg.world.v_max)
-    ladder = cfg.task.bitrate_ladder
-    idx = min(int((float(raw[11 + 3 * k]) + 1.0) * 0.5 * len(ladder)), len(ladder) - 1)
-    level = ce.ladder_level(cfg.task, idx)
-    return DecodedAction(split=split, f_busy=f_busy, f_idle=f_idle, f_uav=f_uav,
-                         prices=prices, weights=weights, velocities=velocities,
-                         commanded_speeds=commanded, level=level, level_index=idx)
+    return DecodedAction(split=OffloadSplit(*eps), f_busy=f_busy, f_idle=f_idle,
+                         f_uav=f_uav, prices=PriceQuote(p_uav=p_uav, p_idle=p_idle),
+                         weights=Weights(*w), velocities=velocities,
+                         commanded_speeds=commanded, level=ce.ladder_level(cfg.task, idx),
+                         level_index=idx)
 
 
 def episode_return(rewards) -> float:
@@ -201,14 +229,32 @@ class OffloadEnv:
     def _draw_tasks(self) -> None:
         """Draw the next slot's tasks and, under stochastic fading, its
         fading normals: per busy UD the real and imaginary parts of the UAV
-        link, then of the D2D link."""
-        t = self.cfg.task
-        n_busy = self.cfg.world.n_busy
+        link, then of the D2D link. Then fix the slot's link rates, which no
+        action changes: each busy UD to its associated UAV and to its D2D
+        partner."""
+        cfg = self.cfg
+        t = cfg.task
+        n_busy = cfg.world.n_busy
         self._bits = self.rng.uniform(t.d_min_bits, t.d_max_bits, size=n_busy)
         self._cycles = float(self.rng.uniform(t.cycles_per_bit_min,
                                               t.cycles_per_bit_max))
-        self._normals = (None if self.cfg.deterministic_fading
+        self._normals = (None if cfg.deterministic_fading
                          else self.rng.standard_normal((n_busy, 4)))
+        w = self.world
+        d_uav = channel.link_distance(w.busy_pos, w.uav_pos[w.assoc])
+        d_d2d = self._d2d_distance
+        if cfg.deterministic_fading:
+            g_uav = channel.los_gain_sq(cfg.chan_uav, d_uav)
+            g_d2d = channel.los_gain_sq(cfg.chan_d2d, d_d2d)
+        else:
+            n = self._normals
+            g_uav = channel.fading_gain_sq(cfg.chan_uav, d_uav, n[:, 0], n[:, 1])
+            g_d2d = channel.fading_gain_sq(cfg.chan_d2d, d_d2d, n[:, 2], n[:, 3])
+        tx = cfg.caps.tx_power
+        self._rate_uav = channel.rate(cfg.chan_uav.bandwidth, tx, g_uav,
+                                      cfg.chan_uav.noise_power)
+        self._rate_d2d = channel.rate(cfg.chan_d2d.bandwidth, tx, g_d2d,
+                                      cfg.chan_d2d.noise_power)
 
     def state(self) -> np.ndarray:
         cfg = self.cfg
@@ -231,65 +277,76 @@ class OffloadEnv:
         return out
 
     def _evaluate(self, act: DecodedAction) -> _SlotOutcome:
-        """The slot under act at the current state; changes nothing."""
+        """The slot under one decoded action, or under each action of a
+        decoded batch, at the current state; changes nothing. Rows of a batch
+        are independent: a row's results do not depend on the other rows."""
         cfg = self.cfg
         w = self.world
         kappa = cfg.energy.kappa
         tx = cfg.caps.tx_power
         n_busy, n_idle, n_uav = cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav
+        lead = act.velocities.shape[:-2]        # () for one action, (B,) for a batch
+        n_rows = math.prod(lead)
         task = SlotTask(bits=self._bits, cycles_per_bit=self._cycles)
-        split = act.split
-        assoc = w.assoc
-        uav_pos = w.uav_pos
 
-        def per_ud(x):   # a per-slot guard may have decided all UDs alike
-            return x if libm.is_array(x) else np.full(n_busy, x)
+        # A batch's per-action values meet the per-UD and per-UAV axes as
+        # (B, 1) columns; one action's are plain floats, which the formulas
+        # take on their scalar branch, as cheap as Python arithmetic.
+        def col(x):
+            return x[:, None] if lead else x
 
-        d_uav = channel.link_distance(w.busy_pos, uav_pos[assoc])
-        d_d2d = self._d2d_distance
-        if cfg.deterministic_fading:
-            g_uav = channel.los_gain_sq(cfg.chan_uav, d_uav)
-            g_d2d = channel.los_gain_sq(cfg.chan_d2d, d_d2d)
-        else:
-            n = self._normals
-            g_uav = channel.fading_gain_sq(cfg.chan_uav, d_uav, n[:, 0], n[:, 1])
-            g_d2d = channel.fading_gain_sq(cfg.chan_d2d, d_d2d, n[:, 2], n[:, 3])
-        r_uav = channel.rate(cfg.chan_uav.bandwidth, tx, g_uav, cfg.chan_uav.noise_power)
-        r_d2d = channel.rate(cfg.chan_d2d.bandwidth, tx, g_d2d, cfg.chan_d2d.noise_power)
+        def per_ud(x):   # a scalar guard may have decided all UDs alike
+            return x if libm.is_array(x) else np.full(lead + (n_busy,), x)
 
-        t_loc = ce.local_delay(task, split, act.f_busy)
-        e_loc = ce.local_energy(task, split, act.f_busy, kappa)
-        t_up = ce.uplink_delay_uav(task, split, r_uav)
+        def flag(fired, value):   # value where fired, else 0.0
+            return np.where(fired, value, 0.0) if lead else (value if fired else 0.0)
+
+        split = OffloadSplit(col(act.split.eps1), col(act.split.eps2), col(act.split.eps3))
+        f_busy, f_idle, f_uav = col(act.f_busy), col(act.f_idle), col(act.f_uav)
+        level = TranscodeLevel(col(act.level.bitrate_mbps), act.level.original_bitrate_mbps)
+
+        # Per-UD terms, L + (I,).
+        t_loc = ce.local_delay(task, split, f_busy)
+        e_loc = ce.local_energy(task, split, f_busy, kappa)
+        t_up = ce.uplink_delay_uav(task, split, self._rate_uav)
         e_up = ce.uplink_energy(tx, t_up)
-        ck = ce.transcode_cycles_per_bit(act.level, cfg.energy)
-        t_tr = ce.transcode_time(ck * split.eps1 * task.bits, act.f_uav)
-        e_tr = ce.transcode_energy(act.f_uav, t_tr, cfg.energy)
-        d_prime = ce.transcoded_bits(task, split, act.level)
-        e_uc = ce.uav_compute_energy(act.f_uav, d_prime, ck, kappa)
-        t_d2d = ce.d2d_delay(task, split, r_d2d)
+        ck = ce.transcode_cycles_per_bit(level, cfg.energy)
+        t_tr = ce.transcode_time(ck * split.eps1 * task.bits, f_uav)
+        e_tr = ce.transcode_energy(f_uav, t_tr, cfg.energy)
+        d_prime = ce.transcoded_bits(task, split, level)
+        e_uc = ce.uav_compute_energy(f_uav, d_prime, ck, kappa)
+        t_d2d = ce.d2d_delay(task, split, self._rate_d2d)
         e_d2d = ce.uplink_energy(tx, t_d2d)
-        f_share = act.f_idle / self._partner_load
+        f_share = f_idle / self._partner_load
         e_idle = ce.idle_compute_energy(task, split, f_share, kappa)
 
-        e_trans_k = np.bincount(assoc, weights=per_ud(e_tr), minlength=n_uav)
-        e_comp_k = np.bincount(assoc, weights=per_ud(e_uc), minlength=n_uav)
-        e_idle_j = np.bincount(self._d2d_partner, weights=per_ud(e_idle),
-                               minlength=n_idle)
+        # Per-UAV and per-idle-UD totals: in a batch, row b's bins follow row
+        # b - 1's, so each bin adds its UDs in index order, as a loop would.
+        def bins(index, n_bins):
+            return (np.arange(n_rows)[:, None] * n_bins + index).ravel() if lead else index
+
+        def binned(index, n_bins, x):
+            return np.bincount(index, weights=per_ud(x).ravel(),
+                               minlength=n_rows * n_bins).reshape(lead + (n_bins,))
+
+        uav_bins = bins(w.assoc, n_uav)
+        e_trans_k = binned(uav_bins, n_uav, e_tr)
+        e_comp_k = binned(uav_bins, n_uav, e_uc)
+        e_idle_j = binned(bins(self._d2d_partner, n_idle), n_idle, e_idle)
         speeds = np.sqrt(np.vecdot(act.velocities, act.velocities))
         e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
 
         inc = econ.incentive_factors(cfg.caps)
         beta_uav = econ.uav_inconvenience(split.eps1, cfg.econ)
-        u_uav = _running_sums(econ.uav_utility(act.f_uav, act.prices.p_uav, e_trans_k,
+        u_uav = _running_sums(econ.uav_utility(f_uav, col(act.prices.p_uav), e_trans_k,
                                                e_fly_k, e_comp_k, beta_uav, cfg.econ))
-        u_idle = _running_sums(econ.idle_utility(act.f_idle, act.prices.p_idle,
+        u_idle = _running_sums(econ.idle_utility(f_idle, col(act.prices.p_idle),
                                                  e_idle_j, cfg.econ))
-        u_busy_own = econ.busy_own_utility(act.f_busy, e_loc, e_up, e_d2d,
+        u_busy_own = econ.busy_own_utility(f_busy, e_loc, e_up, e_d2d,
                                            inc.u_busy, cfg.econ)
         (u_busy_own, e_local, e_off_uav, e_off_d2d, t_local, t_off_uav,
          t_off_d2d) = _running_sums(np.array([
-             per_ud(x) for x in (u_busy_own, e_loc, e_up, e_d2d, t_loc, t_up, t_d2d)
-         ])).tolist()
+             per_ud(x) for x in (u_busy_own, e_loc, e_up, e_d2d, t_loc, t_up, t_d2d)]))
         u_busy = (u_busy_own
                   + n_idle * econ.busy_purchase_utility(
                       act.f_idle, act.prices.p_idle, inc.u_idle)
@@ -299,38 +356,38 @@ class OffloadEnv:
 
         # Constraint penalties on this slot's configuration.
         pen = cfg.penalty
-        f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(uav_pos) < cfg.world.d_min) else 0.0
-        f3 = pen.f3 if (act.commanded_speeds > cfg.world.v_max * (1 + 1e-12)).any() else 0.0
+        f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(w.uav_pos) < cfg.world.d_min) else 0.0
+        f3 = flag((act.commanded_speeds > cfg.world.v_max * (1 + 1e-12)).any(axis=-1),
+                  pen.f3)
         # Every energy term is >= 0, so once used > battery it stays so.
         used = self._energy_used + (e_fly_k + e_trans_k + e_comp_k)
-        f2 = pen.f2 if (used > cfg.world.battery_j).any() else 0.0
+        f2 = flag((used > cfg.world.battery_j).any(axis=-1), pen.f2)
 
         # Kinematics and battery drain; the commit re-associates.
         vel = act.velocities
-        pos = move(uav_pos, w.uav_vel, vel, cfg.world.slot_seconds, cfg.world)
-        remaining = np.maximum(cfg.world.battery_j - used, 0.0).tolist()
+        pos = move(w.uav_pos, w.uav_vel, vel, cfg.world.slot_seconds, cfg.world)
         f4 = 0.0
         if self.slot + 1 >= cfg.world.n_slots and pen.f4 > 0:
-            disp = np.linalg.norm(pos - self._initial_uav_pos, axis=1)
-            f4 = pen.f4 * float(np.mean(disp)) / cfg.world.area_side
+            disp = np.linalg.norm(pos - self._initial_uav_pos, axis=-1)
+            f4 = pen.f4 * np.mean(disp, axis=-1) / cfg.world.area_side
 
         penalty = f1 + f2 + f3 + f4
-        entry = LedgerEntry(
-            slot=self.slot, q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
-            f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty,
-            e_local=e_local, e_off_uav=e_off_uav, e_off_d2d=e_off_d2d,
-            e_transcode=float(e_trans_k.sum()),
-            e_uav_compute=float(e_comp_k.sum()),
-            e_idle_compute=float(e_idle_j.sum()), e_fly=float(e_fly_k.sum()),
-            t_local=t_local, t_off_uav=t_off_uav, t_off_d2d=t_off_d2d,
-            uav_rows=[(x, y, z, e) for (x, y, z), e in zip(pos.tolist(), remaining)],
-        )
-        return _SlotOutcome(entry=entry, pos=pos, vel=vel, energy_used=used)
+        rows = dict(q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
+                    f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty,
+                    e_local=e_local, e_off_uav=e_off_uav, e_off_d2d=e_off_d2d,
+                    t_local=t_local, t_off_uav=t_off_uav, t_off_d2d=t_off_d2d)
+        totals = dict(e_transcode=e_trans_k, e_uav_compute=e_comp_k,
+                      e_idle_compute=e_idle_j, e_fly=e_fly_k)
+        return _SlotOutcome(rows=rows, totals=totals, pos=pos, vel=vel, energy_used=used)
 
     def step(self, raw_action) -> tuple[np.ndarray, float, LedgerEntry, bool]:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        out = self._evaluate(decode(raw_action, self.cfg))
+        raw = np.asarray(raw_action, dtype=float)
+        if raw.ndim != 1:
+            raise ValueError(f"step takes one action vector, got shape {raw.shape}")
+        out = self._evaluate(decode(raw, self.cfg))
+        entry = out.entry(self.slot, self.cfg.world.battery_j)
         # Commit: move the UAVs, drain their batteries, re-associate, and
         # draw the next slot's tasks.
         w = self.world
@@ -340,17 +397,26 @@ class OffloadEnv:
         self._draw_tasks()
         self.slot += 1
         self.done = self.slot >= self.cfg.world.n_slots
-        return self.state(), out.entry.reward, out.entry, self.done
+        return self.state(), entry.reward, entry, self.done
 
     def clone(self) -> "OffloadEnv":
         return copy.deepcopy(self)
 
-    def peek_reward(self, raw_action) -> float:
-        """Reward of taking raw_action now; changes nothing and draws no
-        random numbers."""
+    def peek_rewards(self, actions) -> np.ndarray:
+        """Rewards (B,) of taking each row of actions (B, A) now; changes
+        nothing and draws no random numbers. Row b's reward is the one
+        ``step(actions[b])`` would return, bit for bit."""
         if self.done:
-            raise RuntimeError("peek_reward() called on a finished episode")
-        return self._evaluate(decode(raw_action, self.cfg)).entry.reward
+            raise RuntimeError("peek_rewards() called on a finished episode")
+        actions = np.asarray(actions, dtype=float)
+        if actions.ndim != 2:
+            raise ValueError(f"actions must be a (B, {self.action_dim}) batch, "
+                             f"got shape {actions.shape}")
+        return self._evaluate(decode(actions, self.cfg)).rows["reward"]
+
+    def peek_reward(self, raw_action) -> float:
+        """Reward of taking raw_action now: :meth:`peek_rewards` of one row."""
+        return self.peek_rewards(np.asarray(raw_action, dtype=float)[None])[0]
 
 
 def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]],

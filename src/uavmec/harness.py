@@ -6,19 +6,17 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config as cfgmod
 from .baseline import greedy_baseline
-from .config import ExperimentConfig, SimConfig
+from .config import ExperimentConfig, SimConfig, apply_axis
 from .env import OffloadEnv, write_ledger_csv
 from .nets import Mlp
 from .ppo import ppo_train
 from .td3 import ddpg_train, save_actor, td3_train
-
-AXES = ("n_uav", "n_idle", "n_busy", "f_k_max")
 
 
 @dataclass
@@ -95,18 +93,6 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
                        config_snapshot=snap, metadata=meta)
 
 
-def _apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
-    if axis == "n_uav":
-        return replace(sim, world=replace(sim.world, n_uav=int(value)))
-    if axis == "n_idle":
-        return replace(sim, world=replace(sim.world, n_idle=int(value)))
-    if axis == "n_busy":
-        return replace(sim, world=replace(sim.world, n_busy=int(value)))
-    if axis == "f_k_max":
-        return replace(sim, caps=replace(sim.caps, f_uav_max=float(value)))
-    raise ValueError(f"unknown sweep axis '{axis}'")
-
-
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
     seed; emit a summary CSV with mean and stddev across seeds."""
@@ -117,7 +103,7 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
     snap, meta = _snapshot(cfg, run_dir)
     detail_rows = []
     for value in cfg.sweep_axes[axis]:
-        sim = _apply_axis(cfg.sim, axis, value)
+        sim = apply_axis(cfg.sim, axis, value)
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 returns, _ = _train_one(algo, sim, cfg, seed)

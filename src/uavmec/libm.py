@@ -8,12 +8,13 @@ learned policies, so the array-valued formulas in ``channel`` and
 ``compute_energy`` take these three operations one element at a time, as
 Python floats. A formula then gives the same bits for a scalar argument and
 for an array of them. Each function takes a scalar, which gives a scalar,
-or 1-D arrays.
+or an array of any shape, which gives an array of that shape.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -23,17 +24,23 @@ def is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
+def _shaped(values: list, like: np.ndarray) -> np.ndarray:
+    """The flat values as an array of like's shape."""
+    out = np.array(values)
+    return out if like.ndim == 1 else out.reshape(like.shape)
+
+
 def power(x, y: float):
     """x ** y with the C library's pow, elementwise over x."""
     if not is_array(x):
         return x ** y
-    return np.array([v ** y for v in x.tolist()])
+    return _shaped([v ** y for v in x.ravel().tolist()], x)
 
 
 def log2(x):
     if not is_array(x):
         return math.log2(x)
-    return np.array([math.log2(v) for v in x.tolist()])
+    return _shaped([math.log2(v) for v in x.ravel().tolist()], x)
 
 
 def abs_sq(re, im):
@@ -41,5 +48,5 @@ def abs_sq(re, im):
     are both scalars or both arrays of one shape."""
     if not is_array(re):
         return abs(complex(re, im)) ** 2
-    return np.array([abs(complex(a, b)) ** 2
-                     for a, b in zip(re.tolist(), im.tolist())])
+    moduli = map(abs, map(complex, re.ravel().tolist(), im.ravel().tolist()))
+    return _shaped(list(map(pow, moduli, repeat(2))), re)

@@ -95,5 +95,6 @@ def associate(busy_pos: np.ndarray, uav_pos: np.ndarray) -> np.ndarray:
     """Map each busy UD to its nearest UAV (3D distance, ties -> lowest index)."""
     if len(uav_pos) == 0:
         raise ValueError("need at least one UAV to associate")
-    d = np.linalg.norm(uav_pos - np.atleast_2d(busy_pos)[:, None, :], axis=2)
+    diff = uav_pos - np.atleast_2d(busy_pos)[:, None, :]
+    d = np.sqrt(np.add.reduce(diff * diff, axis=2))   # norm(axis=2), minus its overhead
     return np.argmin(d, axis=1)  # argmin breaks ties at lowest index

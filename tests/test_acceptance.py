@@ -21,9 +21,9 @@ import scipy.stats
 from uavmec.baseline import greedy_baseline
 from uavmec.config import (ComputeCaps, EconParams, ExperimentConfig,
                            PenaltyConfig, SimConfig, Td3Config, WorldConfig,
-                           load_experiment, uav_channel_defaults)
+                           apply_axis, load_experiment, uav_channel_defaults)
 from uavmec.env import OffloadEnv, action_length, decode
-from uavmec.harness import _apply_axis, run
+from uavmec.harness import run
 from uavmec.nets import Mlp, soft_update
 from uavmec.td3 import Td3Agent, ddpg_train, td3_train, td_target
 from uavmec import channel, compute_energy as ce, economics as econ
@@ -445,7 +445,7 @@ class TestRevenueTrends:
         for axis, values in TREND_AXES.items():
             means, stds = [], []
             for v in values:
-                sim = _apply_axis(TREND_BASE, axis, v)
+                sim = apply_axis(TREND_BASE, axis, v)
                 rets = [greedy_baseline(sim, s) for s in range(10)]
                 means.append(float(np.mean(rets)))
                 stds.append(float(np.std(rets)))

@@ -184,3 +184,43 @@ class TestSplitValidation:
     def test_range_violation(self):
         with pytest.raises(ValueError):
             OffloadSplit(-0.1, 0.6, 0.5).validate()
+
+
+class TestRowGuards:
+    """Given (B, 1) columns, a guard acts row by row: each row equals the
+    scalar call with that row's values, including rows the guard zeroes."""
+
+    TASK = SlotTask(bits=np.array([1.5e6, 2.5e6, 3.5e6]), cycles_per_bit=1100.0)
+    # Rows 0 and 1 pair an empty share with zero compute, where the
+    # unguarded ratio would be inf rather than 0.
+    EPS = [(0.5, 0.5, 0.0), (0.25, 0.0, 0.75), (0.0, 0.5, 0.5), (0.2, 0.3, 0.5)]
+    F = [0.0, 0.0, 2e9, 3e9]
+
+    def _columns(self):
+        e1, e2, e3 = (np.array(x)[:, None] for x in zip(*self.EPS))
+        return OffloadSplit(e1, e2, e3), np.array(self.F)[:, None]
+
+    def _assert_rows(self, batched, scalar_call):
+        assert batched.shape == (len(self.EPS), len(self.TASK.bits))
+        for b, ((e1, e2, e3), f) in enumerate(zip(self.EPS, self.F)):
+            want = np.broadcast_to(scalar_call(OffloadSplit(e1, e2, e3), f),
+                                   self.TASK.bits.shape)
+            assert batched[b].tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_delays(self):
+        s, f = self._columns()
+        rate = np.array([2e7, 3e7, 4e7])
+        t = self.TASK
+        self._assert_rows(ce.local_delay(t, s, f), lambda s, f: ce.local_delay(t, s, f))
+        self._assert_rows(ce.uplink_delay_uav(t, s, rate),
+                          lambda s, f: ce.uplink_delay_uav(t, s, rate))
+        self._assert_rows(ce.d2d_delay(t, s, rate), lambda s, f: ce.d2d_delay(t, s, rate))
+        self._assert_rows(ce.idle_compute_delay(t, s, f),
+                          lambda s, f: ce.idle_compute_delay(t, s, f))
+
+    def test_transcode_energy_at_zero_frequency(self):
+        s, f = self._columns()
+        t = self.TASK
+        time = ce.transcode_time(s.eps1 * t.bits, f)
+        self._assert_rows(ce.transcode_energy(f, time, P), lambda s, f: ce.transcode_energy(
+            f, ce.transcode_time(s.eps1 * t.bits, f), P))

@@ -270,6 +270,109 @@ class TestPeekReward:
             env.peek_reward(np.zeros(env.action_dim))
 
 
+def _mixed_batch(rng, n_rows: int, dim: int) -> np.ndarray:
+    """n_rows uniform rows, then n_rows rows drawn from {-1, 0, 1}: at -1 a
+    compute level decodes to 0 and a share to the decoder's floor."""
+    return np.concatenate([rng.uniform(-1, 1, (n_rows, dim)),
+                           rng.choice([-1.0, 0.0, 1.0], size=(n_rows, dim))])
+
+
+def _peek_case(name):
+    if name == "20-10-5":
+        cfg = SimConfig()                # 50 slots, stochastic fading
+        cfg.world.battery_j = 5_000.0    # drained within the episode: F2 fires
+        return cfg, 8
+    cfg = small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15)
+    cfg.deterministic_fading = True
+    return cfg, 3
+
+
+def _row_entry(out, b: int, cfg) -> dict:
+    """Row b of a batch outcome as the ledger fields a step would write."""
+    n = len(out.pos)
+    fields = {name: np.broadcast_to(v, (n,))[b] for name, v in out.rows.items()}
+    fields.update({name: v[b].sum() for name, v in out.totals.items()})
+    remaining = np.maximum(cfg.world.battery_j - out.energy_used[b], 0.0)
+    fields["uav_rows"] = np.column_stack([out.pos[b], remaining])
+    return fields
+
+
+class TestPeekRewards:
+    @pytest.mark.parametrize("name", ["20-10-5", "6-3-2-deterministic"])
+    def test_rows_equal_single_peeks_and_cloned_steps(self, name):
+        cfg, seed = _peek_case(name)
+        env = OffloadEnv(cfg, seed)
+        rng = np.random.default_rng(seed)
+        flags = set()
+        done = False
+        while not done:
+            batch = _mixed_batch(rng, 3, env.action_dim)
+            rewards = env.peek_rewards(batch)
+            assert rewards.shape == (len(batch),)
+            out = env._evaluate(decode(batch, cfg))
+            for b, (row, r) in enumerate(zip(batch, rewards)):
+                _, stepped, entry, _ = env.clone().step(row)
+                assert (_float_bits(r) == _float_bits(env.peek_reward(row))
+                        == _float_bits(stepped))
+                # Every ledger field, not only the reward, which can round
+                # a last-bit difference in a small term away.
+                for field_name, value in _row_entry(out, b, cfg).items():
+                    assert (np.asarray(value, dtype=float).tobytes()
+                            == np.asarray(getattr(entry, field_name), dtype=float).tobytes()
+                            ), field_name
+            _, _, e, done = env.step(batch[0])
+            flags |= {f for f in ("f2", "f4") if getattr(e, f) > 0}
+        if name == "20-10-5":
+            assert flags == {"f2", "f4"}
+
+    def test_permuting_rows_permutes_rewards(self):
+        env = OffloadEnv(SimConfig(), 2)
+        rng = np.random.default_rng(2)
+        batch = _mixed_batch(rng, 4, env.action_dim)
+        perm = rng.permutation(len(batch))
+        assert (env.peek_rewards(batch[perm]).tobytes()
+                == env.peek_rewards(batch)[perm].tobytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_named_by_row_and_index(self, sim_cfg, bad):
+        env = OffloadEnv(sim_cfg, 0)
+        batch = np.zeros((4, env.action_dim))
+        batch[2, 5] = bad
+        with pytest.raises(ValueError, match="row 2 entry 5 is not finite"):
+            env.peek_rewards(batch)
+
+    def test_single_vector_rejected(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        with pytest.raises(ValueError, match="batch"):
+            env.peek_rewards(np.zeros(env.action_dim))
+
+    def test_finished_episode_rejected(self):
+        env = OffloadEnv(small_sim(n_slots=1), 0)
+        env.step(np.zeros(env.action_dim))
+        with pytest.raises(RuntimeError):
+            env.peek_rewards(np.zeros((2, env.action_dim)))
+
+    def test_changes_nothing(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 4)
+        env.step(np.random.default_rng(1).uniform(-1, 1, env.action_dim))
+
+        def snapshot():
+            arrays = (env.world.uav_pos, env.world.uav_vel, env._energy_used,
+                      env.world.assoc, env._bits, env._normals, env._rate_uav,
+                      env._rate_d2d)
+            return ([a.copy() for a in arrays],
+                    (env.slot, env.done, env._cycles, env.rng.bit_generator.state))
+
+        before = snapshot()
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            env.peek_rewards(_mixed_batch(rng, 3, env.action_dim))
+        after = snapshot()
+        for x, y in zip(before[0], after[0]):
+            assert np.array_equal(x, y)
+        assert before[1] == after[1]
+
+
 class TestEpisodeReturn:
     def test_examples(self):
         assert episode_return([]) == 0.0

@@ -10,7 +10,8 @@ import pytest
 from conftest import small_sim
 from uavmec import cli, harness
 from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, Td3Config,
-                           experiment_from_dict, load_experiment, save_experiment)
+                           apply_axis, experiment_from_dict, load_experiment,
+                           save_experiment)
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.td3 import load_actor, td3_train
@@ -136,10 +137,10 @@ class TestSweep:
 
     def test_axis_actually_changes_scenario(self):
         sim = small_sim()
-        assert harness._apply_axis(sim, "n_uav", 3).world.n_uav == 3
-        assert harness._apply_axis(sim, "n_idle", 4).world.n_idle == 4
-        assert harness._apply_axis(sim, "n_busy", 7).world.n_busy == 7
-        assert harness._apply_axis(sim, "f_k_max", 10e9).caps.f_uav_max == 10e9
+        assert apply_axis(sim, "n_uav", 3).world.n_uav == 3
+        assert apply_axis(sim, "n_idle", 4).world.n_idle == 4
+        assert apply_axis(sim, "n_busy", 7).world.n_busy == 7
+        assert apply_axis(sim, "f_k_max", 10e9).caps.f_uav_max == 10e9
         # base config untouched
         assert sim.world.n_uav == small_sim().world.n_uav
 
@@ -302,6 +303,20 @@ class TestConfigErrors:
     def test_ill_typed_leaf_names_path(self, blob, path):
         with pytest.raises(ConfigError, match=path):
             experiment_from_dict(blob)
+
+    @pytest.mark.parametrize("value,message", [
+        (2.5, "expected int, got float 2.5"),
+        (True, "expected int, got bool True"),
+        (0, "must be positive"),
+        ("3", "expected int, got str '3'"),
+    ])
+    def test_ill_typed_sweep_value_names_axis_index(self, value, message):
+        # Before the check, 2.5 and True ran 2 and 1 UAVs under CSV labels
+        # "2.5" and "True".
+        blob = {"sweep_axes": {"n_uav": [1, value]}}
+        with pytest.raises(ConfigError, match=r"sweep_axes\.n_uav\[1\]") as err:
+            experiment_from_dict(blob)
+        assert message in str(err.value)
 
     def test_int_accepted_for_float_field(self):
         cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
