@@ -40,7 +40,7 @@ class WorldConfig:
             raise ConfigError("world.h_min must be below world.h_max")
         if self.d_min <= 0 or self.v_max <= 0 or self.slot_seconds <= 0:
             raise ConfigError("world: d_min, v_max, slot_seconds must be positive")
-        _require_positive("world", self, "n_slots")
+        _require_positive("world", self, "n_idle", "n_slots")
         if not self.battery_j > 0:
             raise ConfigError(f"world.battery_j must be positive, got {self.battery_j!r}")
 

@@ -188,8 +188,6 @@ class OffloadEnv:
 
     def __init__(self, cfg: SimConfig, seed: int = 0):
         cfg.validate()
-        if cfg.world.n_idle < 1:
-            raise ValueError("need at least one idle UD for the D2D route")
         self.cfg = cfg
         self._seed = seed
         self.world: WorldState | None = None

@@ -1,9 +1,12 @@
 """The batched greedy search against the one-probe-at-a-time search it
 replaces, kept here as the oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from uavmec import baseline
 from uavmec.baseline import GRID, greedy_action, steering_velocities
 from uavmec.config import SimConfig
 from uavmec.env import OffloadEnv
@@ -30,9 +33,10 @@ def sequential_greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
     return action
 
 
-def _sized(n_busy, n_idle, n_uav) -> SimConfig:
+def _sized(n_busy, n_idle, n_uav, deterministic_fading=False) -> SimConfig:
     cfg = SimConfig()
     cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav = n_busy, n_idle, n_uav
+    cfg.deterministic_fading = deterministic_fading
     # 20 slots keep the test short; with a 2 kJ battery the energy penalty
     # F2, which the action moves, starts firing mid-episode.
     cfg.world.n_slots, cfg.world.battery_j = 20, 2_000.0
@@ -40,7 +44,8 @@ def _sized(n_busy, n_idle, n_uav) -> SimConfig:
 
 
 @pytest.mark.parametrize("passes", [1, 2])
-@pytest.mark.parametrize("shape", [(20, 10, 5), (6, 3, 2)], ids=["20-10-5", "6-3-2"])
+@pytest.mark.parametrize("shape", [(20, 10, 5), (6, 3, 2), (6, 3, 2, True)],
+                         ids=["20-10-5", "6-3-2", "6-3-2-deterministic"])
 def test_batched_greedy_equals_sequential_search(shape, passes):
     cfg = _sized(*shape)
     for seed in range(5):
@@ -52,3 +57,19 @@ def test_batched_greedy_equals_sequential_search(shape, passes):
             _, _, entry, done = env.step(action)
             f2_fired |= entry.f2 > 0
         assert f2_fired
+
+
+@pytest.mark.parametrize("group", [1, 2, 5], ids=["1", "2", "5-5-2"])
+def test_any_group_size_equals_sequential_search(group, monkeypatch):
+    # 12 scalar dims in groups of 5 leave a final group of 2.
+    monkeypatch.setattr(baseline, "GROUP", group)
+    monkeypatch.setattr(baseline, "PRODUCT_GRID",
+                        np.array(list(itertools.product(GRID, repeat=group))))
+    cfg = _sized(6, 3, 2)
+    for seed in range(2):
+        env = OffloadEnv(cfg, seed)
+        done = False
+        while not done:
+            action = greedy_action(env, passes=2)
+            assert action.tobytes() == sequential_greedy_action(env, 2).tobytes()
+            _, _, _, done = env.step(action)

@@ -247,7 +247,7 @@ class TestPeekReward:
             assert np.array_equal(x, y)
         assert before[7] == after[7]
 
-    def test_greedy_search_neither_steps_nor_clones(self, sim_cfg):
+    def test_greedy_search_neither_steps_nor_clones(self):
         calls = []
 
         class Watched(OffloadEnv):
@@ -259,9 +259,18 @@ class TestPeekReward:
                 calls.append("clone")
                 return super().clone()
 
-        env = Watched(sim_cfg, 0)
+            def peek_rewards(self, actions):
+                calls.append(len(actions))
+                return super().peek_rewards(actions)
+
+        # At 20/10/5 the 12 scalar dims go three per kernel call, each call
+        # scoring their 27-row product grid.
+        env = Watched(SimConfig(), 0)
         greedy_action(env)
-        assert calls == []
+        assert calls == [27] * 4
+        calls.clear()
+        greedy_action(env, passes=2)
+        assert calls == [27] * 8
 
     def test_finished_episode_rejected(self):
         env = OffloadEnv(small_sim(n_slots=1), 0)

@@ -3,15 +3,18 @@ byte-identical re-runs, and the CLI wrapper."""
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_sim
 from uavmec import cli, harness
-from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, Td3Config,
-                           apply_axis, experiment_from_dict, load_experiment,
-                           save_experiment)
+from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
+                           Td3Config, WorldConfig, apply_axis, experiment_from_dict,
+                           load_experiment, save_experiment)
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.td3 import load_actor, td3_train
@@ -283,6 +286,8 @@ class TestConfigErrors:
         ("world", "n_slots", 0),
         ("world", "battery_j", 0.0),
         ("task", "bitrate_ladder", ()),
+        ("world", "n_idle", 0),
+        ("world", "n_idle", -1),
     ])
     def test_sim_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
@@ -318,6 +323,14 @@ class TestConfigErrors:
             experiment_from_dict(blob)
         assert message in str(err.value)
 
+    def test_zero_idle_sweep_value_names_axis_index(self):
+        # Before the check this validated, and the sweep's first run died
+        # in OffloadEnv: the D2D route needs an idle UD.
+        blob = {"sweep_axes": {"n_idle": [0]}}
+        with pytest.raises(ConfigError, match=r"sweep_axes\.n_idle\[0\]") as err:
+            experiment_from_dict(blob)
+        assert "world.n_idle" in str(err.value)
+
     def test_int_accepted_for_float_field(self):
         cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
         assert cfg.sim.world.area_side == 100
@@ -337,3 +350,50 @@ class TestConfigErrors:
             json.dump(blob, fh)
         with pytest.raises(ConfigError, match="momentum"):
             load_experiment(path)
+
+
+_counts = st.integers(1, 64)
+_widths = st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _experiments(draw) -> ExperimentConfig:
+    """Valid experiment configs with a few sim, TD3 and sweep fields drawn."""
+    world = WorldConfig(n_busy=draw(_counts), n_idle=draw(_counts),
+                        n_uav=draw(_counts), n_slots=draw(_counts),
+                        area_side=draw(st.floats(1.0, 1e4)),
+                        battery_j=draw(st.floats(1e-3, 1e9)))
+    batch = draw(st.integers(1, 512))
+    td3 = Td3Config(gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                    tau=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                    exploration_noise_sigma=draw(st.floats(0.0, 2.0)),
+                    batch_size=batch,
+                    buffer_capacity=batch + draw(st.integers(0, 10**6)),
+                    hidden=draw(_widths),
+                    optimizer=draw(st.sampled_from(("adam", "sgd"))))
+    sweep_axes = draw(st.fixed_dictionaries({}, optional={
+        "n_uav": st.lists(_counts, min_size=1, max_size=4),
+        "n_idle": st.lists(_counts, min_size=1, max_size=4),
+        "n_busy": st.lists(_counts, min_size=1, max_size=4),
+        "f_k_max": st.lists(st.floats(1e6, 1e12), min_size=1, max_size=4),
+    }))
+    return ExperimentConfig(
+        sim=SimConfig(world=world, deterministic_fading=draw(st.booleans())),
+        td3=td3,
+        algorithms=tuple(draw(st.lists(st.sampled_from(("td3", "ddpg", "ppo", "greedy")),
+                                       min_size=1, unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31 - 1), min_size=1,
+                                  max_size=5, unique=True))),
+        sweep_axes=sweep_axes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiments())
+def test_experiment_round_trips_through_json(cfg):
+    cfg.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        save_experiment(cfg, path)
+        loaded = load_experiment(path)
+    assert loaded == cfg
+    loaded.validate()
