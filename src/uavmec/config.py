@@ -137,8 +137,17 @@ class TaskParams:
     def validate(self) -> None:
         if not (0 < self.d_min_bits <= self.d_max_bits):
             raise ConfigError("task: require 0 < d_min_bits <= d_max_bits")
+        # A reversed range made reset's uniform draw raise; a nonpositive
+        # rung made step's bitrate logarithm complex.
+        if not (0 < self.cycles_per_bit_min <= self.cycles_per_bit_max):
+            raise ConfigError(
+                "task.cycles_per_bit_min must lie in (0, cycles_per_bit_max = "
+                f"{self.cycles_per_bit_max!r}], got {self.cycles_per_bit_min!r}")
         if not self.bitrate_ladder:
             raise ConfigError("task.bitrate_ladder must not be empty")
+        if not all(b > 0 for b in self.bitrate_ladder):
+            raise ConfigError("task.bitrate_ladder entries must be positive, "
+                              f"got {tuple(self.bitrate_ladder)!r}")
         if any(b >= self.original_bitrate_mbps for b in self.bitrate_ladder):
             raise ConfigError("task.bitrate_ladder must stay below the original bitrate")
 

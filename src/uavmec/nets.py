@@ -1,9 +1,11 @@
 """Small fully connected networks with analytic backprop, on plain numpy.
 
 Hidden layers are rectified-linear; the output layer is either identity
-(critics) or tanh (actors). ``backward`` returns both parameter gradients and
-the gradient with respect to the input, which lets the actor update chain
-through a critic's action input.
+(critics) or tanh (actors). ``backward`` computes, on request, the parameter
+gradients and the gradient with respect to the input; the latter lets the
+actor update chain through a critic's action input. Each caller asks only for
+what it reads: a net's own update skips the layer-0 input-gradient product,
+and the actor's pass through a critic skips the critic's parameter gradients.
 
 Each network keeps all of its parameters in one contiguous float64 vector
 ``flat`` (``w0, b0, w1, b1, ...``, weights row-major); ``weights[i]`` and
@@ -13,6 +15,10 @@ only be written in place (``net.weights[0][...] = w``), never rebound.
 same layout that is allocated on the first ``backward`` (inference-only nets
 never pay for it). So an optimizer step, a soft update or a finite check is
 one array op per network.
+
+``Adam.step`` allocates nothing: it updates its moments and the parameters in
+place through two scratch buffers it owns, in the same op order as the
+textbook expression, so every bit of the result is unchanged.
 """
 
 from __future__ import annotations
@@ -77,24 +83,38 @@ class Mlp:
             activations.append(h)
         return h, activations
 
-    def backward(self, activations, grad_out: np.ndarray):
-        """Gradients of sum(grad_out * output) w.r.t. params and input."""
+    def backward(self, activations, grad_out: np.ndarray, *,
+                 params: bool = True, inputs: bool = True):
+        """Gradients of sum(grad_out * output) w.r.t. params and input.
+
+        Returns ``(param_grads, grad_x)``. ``params=False`` leaves ``grad``
+        untouched and returns ``None`` for ``param_grads``; ``inputs=False``
+        skips the layer-0 input-gradient product and returns ``None`` for
+        ``grad_x``. What is computed has the bits of the full pass.
+        """
         grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
         n = len(self.weights)
         if self.out_activation == "tanh":
             delta = grad_out * (1.0 - activations[-1] ** 2)
         else:
             delta = grad_out
-        if self.grad is None:
+        if params and self.grad is None:
             self.grad = np.empty_like(self.flat)
             self._grad_views = _views(self.grad, self.sizes)
-        w_grads, b_grads = self._grad_views
+        w_grads, b_grads = self._grad_views if params else (None, None)
         for li in range(n - 1, -1, -1):
-            np.matmul(activations[li].T, delta, out=w_grads[li])
-            delta.sum(axis=0, out=b_grads[li])
+            if params:
+                np.matmul(activations[li].T, delta, out=w_grads[li])
+                delta.sum(axis=0, out=b_grads[li])
+            if li == 0 and not inputs:
+                delta = None
+                break
             delta = delta @ self.weights[li].T
             if li > 0:
-                delta = delta * (activations[li] > 0.0)
+                # delta is fresh from the matmul: mask it in place.
+                delta *= activations[li] > 0.0
+        if not params:
+            return None, delta
         param_grads = []
         for wg, bg in zip(w_grads, b_grads):
             param_grads.append(wg)
@@ -123,17 +143,40 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
+        # Two scratch buffers sized to the largest parameter; each parameter
+        # works in a view of their leading elements, shaped like it.
+        size = max((p.size for p in params), default=0)
+        a, b = np.empty(size), np.empty(size)
+        self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
+                         for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """One in-place step; the grads are read, never written.
+
+        Same ops in the same order as the textbook form, so the same bits:
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+        ``p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps)``.
+        """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
+        for p, g, m, v, (s, u) in zip(params, grads, self.m, self.v,
+                                      self._scratch):
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(m, b1t, out=s)
+            s *= self.lr
+            np.divide(v, b2t, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s /= u
+            p -= s
 
 
 class Sgd:

@@ -77,7 +77,7 @@ class PpoAgent:
         dlogp = np.where(active, -(adv * ratio) / b, 0.0)
         dmu = dlogp[:, None] * (z / std)          # dlogp/dmu = (a-mu)/std^2
         dlogstd = (dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
-        self.mean_net.backward(cache, dmu)
+        self.mean_net.backward(cache, dmu, inputs=False)
         self.policy_opt.step([self.mean_net.flat, self.log_std],
                              [self.mean_net.grad, dlogstd])
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
@@ -87,7 +87,7 @@ class PpoAgent:
         b = s.shape[0]
         v, cache = self.value_net.forward_cache(s)
         err = v[:, 0] - returns
-        self.value_net.backward(cache, (2.0 / b) * err[:, None])
+        self.value_net.backward(cache, (2.0 / b) * err[:, None], inputs=False)
         self.value_opt.step([self.value_net.flat], [self.value_net.grad])
         return float(np.mean(err ** 2))
 

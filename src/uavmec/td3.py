@@ -91,7 +91,7 @@ class Td3Agent:
             err = q[:, 0] - y
             losses.append(float(np.mean(err ** 2)))
             grad_out = (2.0 / batch) * err[:, None]
-            critic.backward(cache, grad_out)
+            critic.backward(cache, grad_out, inputs=False)
             opt.step([critic.flat], [critic.grad])
         self.critic_update_count += 1
         return losses
@@ -103,11 +103,15 @@ class Td3Agent:
         q, critic_cache = self.critics[0].forward_cache(x)
         batch = s.shape[0]
         grad_out = np.full((batch, 1), 1.0 / batch)
-        _, grad_x = self.critics[0].backward(critic_cache, grad_out)
+        # The critic's parameter gradients would go unread (the next
+        # critic_update overwrites them): only the action gradient is needed.
+        _, grad_x = self.critics[0].backward(critic_cache, grad_out,
+                                             params=False)
         grad_a = grad_x[:, s.shape[1]:]
-        self.actor.backward(actor_cache, grad_a)
+        self.actor.backward(actor_cache, grad_a, inputs=False)
         # Gradient ascent: feed negated gradients to the descent optimizer.
-        self.actor_opt.step([self.actor.flat], [-self.actor.grad])
+        np.negative(self.actor.grad, out=self.actor.grad)
+        self.actor_opt.step([self.actor.flat], [self.actor.grad])
         self.actor_update_count += 1
         return float(np.mean(q))
 

@@ -288,6 +288,8 @@ class TestConfigErrors:
         ("task", "bitrate_ladder", ()),
         ("world", "n_idle", 0),
         ("world", "n_idle", -1),
+        ("task", "cycles_per_bit_min", 2000.0),
+        ("task", "bitrate_ladder", (0.0, -1.0)),
     ])
     def test_sim_range_names_field(self, section, field, value):
         cfg = tiny_experiment()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,43 @@ class TestBackward:
                    - np.sum(net.forward(xm) * g_out)) / (2 * h)
             assert grad_x[0, i] == pytest.approx(num, rel=1e-4, abs=1e-8)
 
+    @pytest.mark.parametrize("out_act", ["identity", "tanh"])
+    def test_inputs_false_gives_full_param_grads_and_no_input_grad(self, out_act):
+        rng = np.random.default_rng(5)
+        net = Mlp([4, 7, 6, 3], out_act, rng)
+        x = rng.normal(size=(9, 4))
+        g_out = rng.normal(size=(9, 3))
+        _, cache = net.forward_cache(x)
+        full_grads, _ = net.backward(cache, g_out)
+        full_grads = [g.copy() for g in full_grads]
+        full_flat = net.grad.copy()
+        net.grad[...] = np.nan
+        grads, grad_x = net.backward(cache, g_out, inputs=False)
+        assert grad_x is None
+        assert net.grad.tobytes() == full_flat.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, full_grads))
+
+    @pytest.mark.parametrize("out_act", ["identity", "tanh"])
+    def test_params_false_gives_full_input_grad_and_leaves_grad(self, out_act):
+        rng = np.random.default_rng(6)
+        net = Mlp([4, 7, 6, 3], out_act, rng)
+        x = rng.normal(size=(9, 4))
+        g_out = rng.normal(size=(9, 3))
+        _, cache = net.forward_cache(x)
+        _, full_x = net.backward(cache, g_out)
+        sentinel = rng.normal(size=net.flat.size)
+        net.grad[...] = sentinel
+        grads, grad_x = net.backward(cache, g_out, params=False)
+        assert grads is None
+        assert grad_x.tobytes() == full_x.tobytes()
+        assert net.grad.tobytes() == sentinel.tobytes()
+
+    def test_params_false_allocates_no_grad_buffer(self):
+        net = Mlp([3, 4, 2], "identity", np.random.default_rng(0))
+        _, cache = net.forward_cache(np.ones((5, 3)))
+        net.backward(cache, np.ones((5, 2)), params=False)
+        assert net.grad is None
+
 
 class TestSoftUpdate:
     def test_hard_copy_at_tau_one(self):
@@ -155,6 +194,51 @@ class TestOptimizers:
     def test_make_optimizer_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_optimizer("rmsprop", [], 0.1)
+
+    def test_make_optimizer_accepts_no_params(self):
+        make_optimizer("adam", [], 0.1).step([], [])
+
+    def test_adam_is_bitwise_textbook_and_leaves_grads(self):
+        # Two parameters of different sizes, as PPO's [mean_net.flat, log_std].
+        rng = np.random.default_rng(11)
+        params = [rng.normal(size=(7, 5)), rng.normal(size=3)]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, b1, b2, eps)
+        for t in range(1, 26):
+            # Magnitudes from 1e-12 to 1e6, signs mixed, some exact zeros.
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.uniform(-12, 6, p.shape)
+                     for p in params]
+            grads[0][0, t % 5] = 0.0
+            before = [g.copy() for g in grads]
+            opt.step(params, grads)
+            b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(before):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                ref[i] = ref[i] - lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
+            for p, r, g, g0 in zip(params, ref, grads, before):
+                assert p.tobytes() == r.tobytes()
+                assert g.tobytes() == g0.tobytes()
+            for mine, theirs in zip(opt.m + opt.v, m + v):
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_adam_step_allocates_no_parameter_sized_temporary(self):
+        n = 100_000
+        rng = np.random.default_rng(12)
+        p = [rng.normal(size=n)]
+        g = [rng.normal(size=n)]
+        opt = Adam(p, 1e-3)
+        opt.step(p, g)
+        tracemalloc.start()
+        try:
+            opt.step(p, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * p[0].itemsize / 4
 
 
 def _assert_views_of_flat(net):
