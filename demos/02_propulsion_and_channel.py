@@ -8,14 +8,14 @@ the deterministic line-of-sight gain and averaged Rician fading draws.
 import numpy as np
 
 from uavmec import channel, compute_energy as ce
-from uavmec.config import EnergyParams, uav_channel_defaults
+from uavmec.config import ChannelParams, EnergyParams
 
 ep = EnergyParams()
 print("propulsion power vs speed (note the bowl: slow flight beats hover)")
 for v in (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0):
     print(f"  v = {v:5.1f} m/s   P = {ce.flight_power(v, ep):8.2f} W")
 
-chan = uav_channel_defaults()
+chan = ChannelParams()
 tx = 0.5
 rng = np.random.default_rng(0)
 print("\nuplink rate vs distance (15 MHz, 0.5 W, Rician K = 10)")

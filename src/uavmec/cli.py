@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             cfg = load_experiment(args.config)
             for seed in cfg.seeds:
                 ret = greedy_baseline(cfg.sim, seed)
-                print(f"seed={seed} return={ret!r}")
+                print(f"seed={seed} return={float(ret)!r}")
     except (ConfigError, OSError, ValueError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -48,10 +48,6 @@ class TranscodeLevel:
     original_bitrate_mbps: float = 2.75
 
 
-class UnassociatedOffload(RuntimeError):
-    """Raised when a positive UAV offload fraction has no associated UAV."""
-
-
 # The guards test their masks with count_nonzero, not .all()/.any(): on the
 # few elements of a slot it is several times cheaper than a reduction.
 
@@ -85,15 +81,19 @@ def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float)
 
 
 def flight_power(v, p: EnergyParams):
-    """Propulsion power at horizontal speed v (W): parasite + blade + induced."""
+    """Propulsion power at horizontal speed v (W): parasite + blade + induced.
+
+    The induced term is the printed one,
+    P_induced * sqrt(sqrt(1 + v^4 / (4 v_f^2)) - v^2 / (2 v_f^2)),
+    with 4*v_f^2 where the classical rotary-wing model has 4*v_f^4.
+    """
     if np.count_nonzero(np.asarray(v) < 0):
         raise ValueError("speed must be nonnegative")
     sqrt = np.sqrt if libm.is_array(v) else math.sqrt
     v2 = libm.power(v, 2)
     parasite = 0.5 * p.d_c * p.rho * p.rotor_solidity * p.rotor_area * libm.power(v, 3)
     blade = p.p_blade * (1.0 + 3.0 * v2 / p.utip ** 2)
-    vf_pow = 4 if p.classical_induced_term else 2
-    induced_inner = (sqrt(1.0 + libm.power(v, 4) / (4.0 * p.v_f ** vf_pow))
+    induced_inner = (sqrt(1.0 + libm.power(v, 4) / (4.0 * p.v_f ** 2))
                      - v2 / (2.0 * p.v_f ** 2))
     induced = p.p_induced * sqrt(np.maximum(induced_inner, 0.0))
     return parasite + blade + induced
@@ -106,10 +106,6 @@ def flight_energy(v, dt: float, p: EnergyParams):
 
 
 def uplink_delay_uav(t: SlotTask, split: OffloadSplit, rate_to_assoc_uav):
-    if rate_to_assoc_uav is None:
-        if np.any(split.eps1 != 0.0):
-            raise UnassociatedOffload("eps1 > 0 but the busy UD has no associated UAV")
-        return 0.0
     return _zero_if_no_work(split.eps1, _ratio_or_inf(split.eps1 * t.bits, rate_to_assoc_uav))
 
 

@@ -2,68 +2,108 @@
 
 All defaults follow the simulation scenario: a 200x200 m area, 20 busy UDs,
 5 UAVs flying between 100 and 200 m at up to 25 m/s over 50 one-second slots.
-Every field can be overridden from a JSON config file; unknown or ill-typed
-fields raise :class:`ConfigError` naming the offending field.
+Every field can be overridden from a JSON config file.
+
+Each field states its domain once, in its annotation: its type and, for most
+numbers, a :class:`Domain` such as :data:`Positive` or :data:`Count`. Every
+float must also be finite. One walker, :func:`_typed`, checks all of this at
+every depth, both for a JSON object being loaded and in ``validate()``; only
+the rules that span fields are code, in each section's ``_rules``. Unknown,
+ill-typed or out-of-domain fields raise :class:`ConfigError` naming the
+dotted path and the value.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import functools
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Annotated, Any, Callable, ClassVar, NamedTuple
 
 
 class ConfigError(ValueError):
-    """Raised for unknown, missing, or ill-typed configuration fields."""
+    """Raised for unknown, missing, ill-typed or out-of-domain configuration fields."""
 
 
-@dataclass
-class WorldConfig:
-    area_side: float = 200.0
-    n_busy: int = 20
-    n_idle: int = 10
-    n_uav: int = 5
-    h_min: float = 100.0
-    h_max: float = 200.0
-    v_max: float = 25.0
-    d_min: float = 3.0
-    slot_seconds: float = 1.0
-    n_slots: int = 50
-    battery_j: float = 20_000.0
+class Domain:
+    """The values of a field's type that it accepts: those where ok holds."""
+
+    # Unhashable, so that typing does not cache the Annotated hints that
+    # carry a Domain: that cache lives as long as the process, and a cached
+    # ok would keep this module's globals alive after a re-import.
+    __hash__ = None
+
+    def __init__(self, text: str, ok: Callable[[Any], bool]):
+        self.text, self.ok = text, ok
+
+
+_POSITIVE = Domain("must be positive", lambda v: v > 0)
+_NONNEGATIVE = Domain("must be nonnegative", lambda v: v >= 0)
+_NON_EMPTY = Domain("must be a non-empty list", lambda v: len(v) > 0)
+
+Positive = Annotated[float, _POSITIVE]
+NonNegative = Annotated[float, _NONNEGATIVE]
+Count = Annotated[int, _POSITIVE]
+Fraction = Annotated[float, Domain("must lie in (0, 1)", lambda v: 0 < v < 1)]
+
+
+class _Section:
+    """A config dataclass. ``validate()`` checks every field against its
+    annotation, at every depth, then each section's cross-field rules."""
+
+    # Where the section sits in an ExperimentConfig, so that the errors of
+    # a validate() called on the section alone name the same paths.
+    home: ClassVar[str] = ""
 
     def validate(self) -> None:
-        if self.area_side <= 0 or self.n_uav < 1 or self.n_busy < 1:
-            raise ConfigError("world: area_side, n_uav, n_busy must be positive")
-        if not self.h_min < self.h_max:
-            raise ConfigError("world.h_min must be below world.h_max")
-        if self.d_min <= 0 or self.v_max <= 0 or self.slot_seconds <= 0:
-            raise ConfigError("world: d_min, v_max, slot_seconds must be positive")
-        _require_positive("world", self, "n_idle", "n_slots")
-        if not self.battery_j > 0:
-            raise ConfigError(f"world.battery_j must be positive, got {self.battery_j!r}")
+        _typed(self, _spec(type(self)), self.home)
+
+    def _rules(self, at: str) -> None:
+        """Rules that span fields, checked after every field; at is this
+        section's dotted path."""
+
+
+def _ordered(section: _Section, at: str, low: str, high: str) -> None:
+    lo, hi = getattr(section, low), getattr(section, high)
+    if not lo <= hi:
+        raise ConfigError(f"{at}.{low} must not exceed {at}.{high}, got {lo!r} > {hi!r}")
 
 
 @dataclass
-class ChannelParams:
+class WorldConfig(_Section):
+    home = "sim.world"
+    area_side: Positive = 200.0
+    n_busy: Count = 20
+    n_idle: Count = 10   # the D2D route needs an idle UD
+    n_uav: Count = 5
+    h_min: float = 100.0
+    h_max: float = 200.0
+    v_max: Positive = 25.0
+    d_min: Positive = 3.0
+    slot_seconds: Positive = 1.0
+    n_slots: Count = 50
+    battery_j: Positive = 20_000.0
+
+    def _rules(self, at: str) -> None:
+        if not self.h_min < self.h_max:
+            raise ConfigError(f"{at}.h_min must be below {at}.h_max, "
+                              f"got {self.h_min!r} >= {self.h_max!r}")
+
+
+@dataclass
+class ChannelParams(_Section):
     """Per-link-class fading/rate parameters.
 
     ``rician_k`` is the linear ratio of line-of-sight to scattered power;
     0 degenerates to Rayleigh fading.
     """
 
-    beta0: float = 1e-5
-    chi: float = 2.2
-    rician_k: float = 10.0
-    noise_power: float = 1e-13
-    bandwidth: float = 15e6
-
-    def validate(self) -> None:
-        if self.beta0 <= 0 or self.noise_power <= 0 or self.bandwidth <= 0:
-            raise ConfigError("channel: beta0, noise_power, bandwidth must be positive")
-        if self.chi < 2 or self.rician_k < 0:
-            raise ConfigError("channel: chi must be >= 2 and rician_k >= 0")
+    beta0: Positive = 1e-5
+    chi: Annotated[float, Domain("must be at least 2", lambda v: v >= 2)] = 2.2
+    rician_k: NonNegative = 10.0
+    noise_power: Positive = 1e-13
+    bandwidth: Positive = 15e6
 
 
 def d2d_channel_defaults() -> ChannelParams:
@@ -71,120 +111,92 @@ def d2d_channel_defaults() -> ChannelParams:
     return ChannelParams(beta0=1e-5, chi=3.0, rician_k=0.0, noise_power=1e-13, bandwidth=10e6)
 
 
-def uav_channel_defaults() -> ChannelParams:
-    return ChannelParams(beta0=1e-5, chi=2.2, rician_k=10.0, noise_power=1e-13, bandwidth=15e6)
+@dataclass
+class EnergyParams(_Section):
+    home = "sim.energy"
+    kappa: Positive = 1e-27
+    s1: Positive = 1e-27
+    y1: Positive = 3.0
+    m1: Positive = 1.54
+    m2: Positive = 0.08
+    p_blade: Positive = 59.03
+    p_induced: Positive = 79.07
+    utip: Positive = 120.0
+    v_f: Positive = 3.6
+    rho: Positive = 1.225
+    d_c: Positive = 0.6
+    rotor_area: Positive = 0.5030
+    rotor_solidity: Positive = 0.05
 
 
 @dataclass
-class EnergyParams:
-    kappa: float = 1e-27
-    s1: float = 1e-27
-    y1: float = 3.0
-    m1: float = 1.54
-    m2: float = 0.08
-    p_blade: float = 59.03
-    p_induced: float = 79.07
-    utip: float = 120.0
-    v_f: float = 3.6
-    rho: float = 1.225
-    d_c: float = 0.6
-    rotor_area: float = 0.5030
-    rotor_solidity: float = 0.05
-    # The printed propulsion model divides v^4 by 4*v_f^2; the classical
-    # rotary-wing model uses 4*v_f^4. Default keeps the printed form.
-    classical_induced_term: bool = False
-
-    def validate(self) -> None:
-        for name in ("kappa", "s1", "y1", "m1", "m2", "p_blade", "p_induced",
-                     "utip", "v_f", "rho", "d_c", "rotor_area", "rotor_solidity"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"energy.{name} must be positive")
-
-
-@dataclass
-class EconParams:
-    p_uav_min: float = 0.1
-    p_uav_max: float = 2.0
-    p_idle_min: float = 0.1
-    p_idle_max: float = 2.0
+class EconParams(_Section):
+    home = "sim.econ"
+    p_uav_min: Positive = 0.1
+    p_uav_max: Positive = 2.0
+    p_idle_min: Positive = 0.1
+    p_idle_max: Positive = 2.0
     beta_busy: float = 1.0
     beta_idle: float = 1.0
-    eps1_cap: float = 0.95
+    eps1_cap: Fraction = 0.95
     # Joules are converted to currency at this rate before entering utilities.
     energy_price: float = 0.01
     # When true, the busy-UD utility subtracts (E_local - E_off_uav - E_off_d2d)
     # as printed; when false, all three energies are costs.
     paper_sign_convention: bool = True
 
-    def validate(self) -> None:
-        if not (0 < self.p_uav_min <= self.p_uav_max):
-            raise ConfigError("econ: require 0 < p_uav_min <= p_uav_max")
-        if not (0 < self.p_idle_min <= self.p_idle_max):
-            raise ConfigError("econ: require 0 < p_idle_min <= p_idle_max")
-        if not (0 < self.eps1_cap < 1):
-            raise ConfigError("econ.eps1_cap must lie in (0, 1)")
+    def _rules(self, at: str) -> None:
+        _ordered(self, at, "p_uav_min", "p_uav_max")
+        _ordered(self, at, "p_idle_min", "p_idle_max")
 
 
 @dataclass
-class TaskParams:
-    d_min_bits: float = 1.5e6
-    d_max_bits: float = 3.5e6
-    cycles_per_bit_min: float = 700.0
-    cycles_per_bit_max: float = 1500.0
+class TaskParams(_Section):
+    home = "sim.task"
+    d_min_bits: Positive = 1.5e6
+    d_max_bits: Positive = 3.5e6
+    cycles_per_bit_min: Positive = 700.0
+    cycles_per_bit_max: Positive = 1500.0
     original_bitrate_mbps: float = 2.75
-    bitrate_ladder: tuple[float, ...] = (0.4, 0.8, 1.5, 2.0, 2.3)
+    # A nonpositive rung would make step's bitrate logarithm complex.
+    bitrate_ladder: Annotated[tuple[Positive, ...], _NON_EMPTY] = (0.4, 0.8, 1.5, 2.0, 2.3)
 
-    def validate(self) -> None:
-        if not (0 < self.d_min_bits <= self.d_max_bits):
-            raise ConfigError("task: require 0 < d_min_bits <= d_max_bits")
-        # A reversed range made reset's uniform draw raise; a nonpositive
-        # rung made step's bitrate logarithm complex.
-        if not (0 < self.cycles_per_bit_min <= self.cycles_per_bit_max):
-            raise ConfigError(
-                "task.cycles_per_bit_min must lie in (0, cycles_per_bit_max = "
-                f"{self.cycles_per_bit_max!r}], got {self.cycles_per_bit_min!r}")
-        if not self.bitrate_ladder:
-            raise ConfigError("task.bitrate_ladder must not be empty")
-        if not all(b > 0 for b in self.bitrate_ladder):
-            raise ConfigError("task.bitrate_ladder entries must be positive, "
-                              f"got {tuple(self.bitrate_ladder)!r}")
+    def _rules(self, at: str) -> None:
+        # A reversed range would make reset's uniform draw raise.
+        _ordered(self, at, "d_min_bits", "d_max_bits")
+        _ordered(self, at, "cycles_per_bit_min", "cycles_per_bit_max")
         if any(b >= self.original_bitrate_mbps for b in self.bitrate_ladder):
-            raise ConfigError("task.bitrate_ladder must stay below the original bitrate")
+            raise ConfigError(
+                f"{at}.bitrate_ladder must stay below the original bitrate "
+                f"{self.original_bitrate_mbps!r}, got {tuple(self.bitrate_ladder)!r}")
 
 
 @dataclass
-class ComputeCaps:
-    f_busy_max: float = 1.5e9
-    f_idle_max: float = 1.5e9
-    f_uav_max: float = 30e9
-    tx_power: float = 0.5
-
-    def validate(self) -> None:
-        if min(self.f_busy_max, self.f_idle_max, self.f_uav_max) <= 0:
-            raise ConfigError("caps: all compute caps must be positive")
-        # At zero power every rate is 0, every uplink delay inf, and every
-        # uplink energy 0 * inf = nan.
-        if not self.tx_power > 0:
-            raise ConfigError("caps.tx_power must be positive")
+class ComputeCaps(_Section):
+    home = "sim.caps"
+    f_busy_max: Positive = 1.5e9
+    f_idle_max: Positive = 1.5e9
+    f_uav_max: Positive = 30e9
+    # At zero power every rate is 0, every uplink delay inf, and every
+    # uplink energy 0 * inf = nan.
+    tx_power: Positive = 0.5
 
 
 @dataclass
-class PenaltyConfig:
-    f1: float = 50.0   # UAV pair closer than d_min
-    f2: float = 50.0   # cumulative UAV energy beyond battery
-    f3: float = 50.0   # commanded speed beyond v_max (pre-clamp)
-    f4: float = 20.0   # terminal return-to-start shortfall, scaled by displacement
-
-    def validate(self) -> None:
-        if min(self.f1, self.f2, self.f3, self.f4) < 0:
-            raise ConfigError("penalty values must be nonnegative")
+class PenaltyConfig(_Section):
+    home = "sim.penalty"
+    f1: NonNegative = 50.0   # UAV pair closer than d_min
+    f2: NonNegative = 50.0   # cumulative UAV energy beyond battery
+    f3: NonNegative = 50.0   # commanded speed beyond v_max (pre-clamp)
+    f4: NonNegative = 20.0   # terminal return-to-start shortfall, scaled by displacement
 
 
 @dataclass
-class SimConfig:
+class SimConfig(_Section):
+    home = "sim"
     world: WorldConfig = field(default_factory=WorldConfig)
     chan_d2d: ChannelParams = field(default_factory=d2d_channel_defaults)
-    chan_uav: ChannelParams = field(default_factory=uav_channel_defaults)
+    chan_uav: ChannelParams = field(default_factory=ChannelParams)
     energy: EnergyParams = field(default_factory=EnergyParams)
     econ: EconParams = field(default_factory=EconParams)
     task: TaskParams = field(default_factory=TaskParams)
@@ -193,88 +205,50 @@ class SimConfig:
     # Replace fading draws with the deterministic line-of-sight prefactor.
     deterministic_fading: bool = False
 
-    def validate(self) -> None:
-        for part in (self.world, self.chan_d2d, self.chan_uav, self.energy,
-                     self.econ, self.task, self.caps, self.penalty):
-            part.validate()
-
-
-def _require_positive(section: str, cfg, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{section}.{name} must be at least 1, "
-                              f"got {getattr(cfg, name)!r}")
-
-
-def _require_positive_widths(section: str, hidden) -> None:
-    if any(width < 1 for width in hidden):
-        raise ConfigError(f"{section}.hidden widths must be at least 1, "
-                          f"got {tuple(hidden)!r}")
-
 
 @dataclass
-class Td3Config:
-    gamma: float = 0.98
-    actor_lr: float = 0.005
-    critic_lr: float = 0.005
-    tau: float = 0.05
-    policy_delay: int = 2
-    target_noise_sigma: float = 0.2
-    target_noise_clip: float = 0.5
-    exploration_noise_sigma: float = 0.1
-    batch_size: int = 256
-    buffer_capacity: int = 100_000
-    episodes: int = 200
-    warmup_steps: int = 1000
-    hidden: tuple[int, ...] = (256, 256)
+class Td3Config(_Section):
+    home = "td3"
+    gamma: Fraction = 0.98
+    actor_lr: Positive = 0.005
+    critic_lr: Positive = 0.005
+    tau: Annotated[float, Domain("must lie in (0, 1]", lambda v: 0 < v <= 1)] = 0.05
+    policy_delay: Count = 2
+    target_noise_sigma: NonNegative = 0.2
+    target_noise_clip: Positive = 0.5
+    exploration_noise_sigma: NonNegative = 0.1
+    batch_size: Count = 256
+    buffer_capacity: Count = 100_000
+    episodes: Count = 200
+    warmup_steps: Annotated[int, _NONNEGATIVE] = 1000
+    hidden: tuple[Count, ...] = (256, 256)
     optimizer: str = "adam"
-    reward_scale: float = 1.0
+    # At 0 the agent trains on zero reward; below 0 it minimises revenue.
+    reward_scale: Positive = 1.0
 
-    def validate(self) -> None:
-        if not (0 < self.gamma < 1):
-            raise ConfigError("td3.gamma must lie in (0, 1)")
-        if not (0 < self.tau <= 1):
-            raise ConfigError("td3.tau must lie in (0, 1]")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ConfigError("td3 learning rates must be positive")
-        if self.target_noise_clip <= 0:
-            raise ConfigError("td3.target_noise_clip must be positive")
-        for name in ("exploration_noise_sigma", "target_noise_sigma", "warmup_steps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"td3.{name} must be nonnegative, "
-                                  f"got {getattr(self, name)!r}")
+    def _rules(self, at: str) -> None:
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("td3.optimizer must be 'adam' or 'sgd'")
-        _require_positive("td3", self, "policy_delay", "batch_size",
-                          "buffer_capacity", "episodes")
+            raise ConfigError(f"{at}.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.buffer_capacity < self.batch_size:
-            raise ConfigError("td3.buffer_capacity must be at least "
-                              "td3.batch_size, or no update ever runs")
-        _require_positive_widths("td3", self.hidden)
+            raise ConfigError(f"{at}.buffer_capacity must be at least {at}.batch_size, "
+                              f"or no update ever runs, got {self.buffer_capacity!r} "
+                              f"< {self.batch_size!r}")
 
 
 @dataclass
-class PpoConfig:
-    gamma: float = 0.98
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
-    lr: float = 3e-4
-    epochs: int = 10
-    minibatch_size: int = 64
-    rollout_episodes: int = 4
-    episodes: int = 200
-    hidden: tuple[int, ...] = (256, 256)
+class PpoConfig(_Section):
+    home = "ppo"
+    gamma: Fraction = 0.98
+    gae_lambda: Annotated[float, Domain("must lie in [0, 1]", lambda v: 0 <= v <= 1)] = 0.95
+    clip_ratio: Positive = 0.2
+    lr: Positive = 3e-4
+    epochs: Count = 10
+    minibatch_size: Count = 64
+    rollout_episodes: Count = 4
+    episodes: Count = 200
+    hidden: tuple[Count, ...] = (256, 256)
     init_log_std: float = -0.5
-    reward_scale: float = 1.0
-
-    def validate(self) -> None:
-        if not (0 < self.gamma < 1) or not (0 <= self.gae_lambda <= 1):
-            raise ConfigError("ppo: gamma in (0,1) and gae_lambda in [0,1] required")
-        if self.clip_ratio <= 0 or self.lr <= 0:
-            raise ConfigError("ppo: clip_ratio and lr must be positive")
-        _require_positive("ppo", self, "epochs", "minibatch_size",
-                          "rollout_episodes", "episodes")
-        _require_positive_widths("ppo", self.hidden)
+    reward_scale: Positive = 1.0
 
 
 # Sweep axis -> the (SimConfig section, field) it sets.
@@ -293,14 +267,14 @@ def apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Section):
     sim: SimConfig = field(default_factory=SimConfig)
     td3: Td3Config = field(default_factory=Td3Config)
     ppo: PpoConfig = field(default_factory=PpoConfig)
-    algorithms: tuple[str, ...] = ("td3", "ddpg", "ppo")
-    seeds: tuple[int, ...] = (0, 1, 2)
+    algorithms: Annotated[tuple[str, ...], _NON_EMPTY] = ("td3", "ddpg", "ppo")
+    seeds: Annotated[tuple[int, ...], _NON_EMPTY] = (0, 1, 2)
     output_dir: str = "runs"
-    sweep_axes: dict[str, list] = field(default_factory=lambda: {
+    sweep_axes: dict[str, Annotated[list, _NON_EMPTY]] = field(default_factory=lambda: {
         "n_uav": [1, 2, 3],
         "n_idle": [1, 2, 4],
         "n_busy": [4, 8, 12],
@@ -308,34 +282,20 @@ class ExperimentConfig:
     })
     config_version: int = 1
 
-    def validate(self) -> None:
-        self.sim.validate()
-        self.td3.validate()
-        self.ppo.validate()
-        if not self.algorithms:
-            raise ConfigError("algorithms must be a non-empty list")
-        known = {"td3", "ddpg", "ppo", "greedy"}
+    def _rules(self, at: str) -> None:
         for a in self.algorithms:
-            if a not in known:
+            if a not in ("td3", "ddpg", "ppo", "greedy"):
                 raise ConfigError(f"algorithms: unknown algorithm '{a}'")
-        if not self.seeds:
-            raise ConfigError("seeds must be a non-empty list")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+            raise ConfigError(f"seeds must be distinct, got {tuple(self.seeds)!r}")
         for axis, values in self.sweep_axes.items():
             if axis not in SWEEP_AXES:
                 raise ConfigError(f"sweep_axes: unknown axis '{axis}'")
-            if not values:
-                raise ConfigError(f"sweep_axes.{axis} must be non-empty")
-            section, name = SWEEP_AXES[axis]
-            hint = typing.get_type_hints(type(getattr(self.sim, section)))[name]
             for i, value in enumerate(values):
-                where = f"sweep_axes.{axis}[{i}]"
-                _typed(value, hint, where)
                 try:
                     apply_axis(self.sim, axis, value).validate()
                 except ConfigError as exc:
-                    raise ConfigError(f"{where}: {exc}") from exc
+                    raise ConfigError(f"sweep_axes.{axis}[{i}]: {exc}") from exc
 
 
 # JSON types each annotated leaf type accepts; bool is never an int here.
@@ -343,48 +303,74 @@ _LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
                list: (list,)}
 
 
-def _typed(value: Any, hint, where: str):
-    """value as the annotated type hint; ConfigError naming where if its JSON
-    type does not fit."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
+class _Spec(NamedTuple):
+    """A type hint taken apart once, for the walker."""
+    kind: Any          # a config dataclass, tuple, dict, or a _LEAF_TYPES key
+    args: tuple        # the _Spec of each type argument but the tuple's "..."
+    domains: tuple     # the Domains of an Annotated hint
+
+
+def _spec(hint) -> _Spec:
+    domains = ()
+    if typing.get_origin(hint) is Annotated:
+        hint, *domains = typing.get_args(hint)
+    args = tuple(_spec(a) for a in typing.get_args(hint) if a is not Ellipsis)
+    return _Spec(typing.get_origin(hint) or hint, args, tuple(domains))
+
+
+@functools.cache
+def _fields(cls) -> dict[str, _Spec]:
+    """Each field of a config dataclass with the _Spec of its annotation."""
+    return {f.name: _spec(f.type) for f in dataclasses.fields(cls)}
+
+
+def _typed(value: Any, spec: _Spec, where: str):
+    """value as the annotated type, checked at every depth: its JSON type,
+    that a float is finite, and each Domain of the annotation. A dict for a
+    config section builds the section, an instance is checked field by
+    field, and either way the section's cross-field rules run last.
+    ConfigError naming where if anything does not fit."""
+    kind = spec.kind
+    if kind in _LEAF_TYPES:
+        if (not isinstance(value, _LEAF_TYPES[kind])
+                or (type(value) is bool and kind is not bool)):
+            raise ConfigError(f"{where}: expected {kind.__name__}, "
+                              f"got {type(value).__name__} {value!r}")
+        # Compared with the largest float, not by math.isfinite, so that an
+        # int too large for a float is rejected too, not an OverflowError.
+        if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+    elif kind is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        return tuple(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
-    if origin is dict:
+        value = tuple(_typed(v, spec.args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    elif kind is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected an object, got {value!r}")
-        return {k: _typed(v, args[1], f"{where}.{k}") for k, v in value.items()}
-    if (not isinstance(value, _LEAF_TYPES[hint])
-            or (isinstance(value, bool) and hint is not bool)):
-        raise ConfigError(f"{where}: expected {hint.__name__}, "
-                          f"got {type(value).__name__} {value!r}")
+        value = {k: _typed(v, spec.args[1], f"{where}.{k}") for k, v in value.items()}
+    else:  # a config section
+        fields, prefix = _fields(kind), f"{where}." if where else ""
+        if isinstance(value, dict):
+            for key in value:
+                if key not in fields:
+                    raise ConfigError(f"unknown field '{prefix}{key}'")
+            value = kind(**{k: _typed(v, fields[k], prefix + k) for k, v in value.items()})
+        elif isinstance(value, kind):
+            for name, field_spec in fields.items():
+                _typed(getattr(value, name), field_spec, prefix + name)
+        else:
+            raise ConfigError(f"{where or kind.__name__}: expected an object, got {value!r}")
+        value._rules(where)
+    for domain in spec.domains:
+        if not domain.ok(value):
+            raise ConfigError(f"{where} {domain.text}, got {value!r}")
     return value
 
 
-def _from_dict(cls, data: Any, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or cls.__name__}: expected an object")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        where = f"{path}.{key}" if path else key
-        if key not in hints:
-            raise ConfigError(f"unknown field '{where}'")
-        if dataclasses.is_dataclass(hints[key]):
-            kwargs[key] = _from_dict(hints[key], value, where)
-        else:
-            kwargs[key] = _typed(value, hints[key], where)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # pragma: no cover - defensive
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
-
-
 def experiment_from_dict(data: dict) -> ExperimentConfig:
-    cfg = _from_dict(ExperimentConfig, data, "")
-    cfg.validate()
-    return cfg
+    """The ExperimentConfig a (partial) JSON object describes, checked as
+    ``validate()`` checks it; unset fields keep their defaults."""
+    return _typed(data, _spec(ExperimentConfig), "")
 
 
 def load_experiment(path: str) -> ExperimentConfig:
@@ -397,17 +383,7 @@ def load_experiment(path: str) -> ExperimentConfig:
     return experiment_from_dict(data)
 
 
-def to_dict(obj) -> Any:
-    if dataclasses.is_dataclass(obj):
-        return {f.name: to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_dict(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: to_dict(v) for k, v in obj.items()}
-    return obj
-
-
 def save_experiment(cfg: ExperimentConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

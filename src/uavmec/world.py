@@ -32,9 +32,8 @@ def spawn_world(cfg: WorldConfig, seed: int) -> WorldState:
     rng = np.random.default_rng(seed)
     busy = np.zeros((cfg.n_busy, 3))
     busy[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_busy, 2))
-    idle = np.zeros((max(cfg.n_idle, 0), 3))
-    if cfg.n_idle > 0:
-        idle[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_idle, 2))
+    idle = np.zeros((cfg.n_idle, 3))
+    idle[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_idle, 2))
     uav_pos = rng.uniform((0.0, 0.0, cfg.h_min),
                           (cfg.area_side, cfg.area_side, cfg.h_max),
                           size=(cfg.n_uav, 3))

@@ -19,9 +19,9 @@ import pytest
 import scipy.stats
 
 from uavmec.baseline import greedy_baseline
-from uavmec.config import (ComputeCaps, EconParams, ExperimentConfig,
+from uavmec.config import (ChannelParams, ComputeCaps, EconParams, ExperimentConfig,
                            PenaltyConfig, SimConfig, Td3Config, WorldConfig,
-                           apply_axis, load_experiment, uav_channel_defaults)
+                           apply_axis, load_experiment)
 from uavmec.env import OffloadEnv, action_length, decode
 from uavmec.harness import run
 from uavmec.nets import Mlp, soft_update
@@ -482,7 +482,7 @@ def _approach_scenario() -> SimConfig:
     # favors short UD-to-UAV links, but only while the UAV link carries
     # traffic: offloading only adds cost here, and local processing at
     # f_busy -> 0 costs nothing.
-    chan = replace(uav_channel_defaults(), noise_power=1e-10, bandwidth=1e6)
+    chan = ChannelParams(noise_power=1e-10, bandwidth=1e6)
     return SimConfig(
         world=WorldConfig(n_busy=4, n_idle=2, n_uav=2, n_slots=20),
         chan_uav=chan,

@@ -87,11 +87,6 @@ class TestOffload:
         assert ce.uplink_delay_uav(t, split(e1=0.5, e3=0.5), 1e7) == pytest.approx(0.1)
         assert ce.uplink_delay_uav(t, split(e1=0.5, e3=0.5), 2e7) == pytest.approx(0.05)
 
-    def test_unassociated_offload_raises(self):
-        t = SlotTask(bits=2e6, cycles_per_bit=1000)
-        with pytest.raises(ce.UnassociatedOffload):
-            ce.uplink_delay_uav(t, split(e1=0.5, e3=0.5), None)
-
     def test_uplink_energy(self):
         assert ce.uplink_energy(0.5, 0.1) == pytest.approx(0.05)
         assert ce.uplink_energy(0.5, 0.0) == 0.0

@@ -1,9 +1,15 @@
 """Orchestration layer: run/sweep/trajectory artifacts, CSV schemas,
 byte-identical re-runs, and the CLI wrapper."""
 
+import dataclasses
+import gc
+import importlib.util
 import json
+import math
 import os
 import tempfile
+import typing
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_sim
-from uavmec import cli, harness
+from uavmec import cli, config, harness
 from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
                            Td3Config, WorldConfig, apply_axis, experiment_from_dict,
                            load_experiment, save_experiment)
@@ -219,7 +225,10 @@ class TestCli:
         path = self._write_cfg(
             tmp_path, tiny_experiment(algorithms=("greedy",), seeds=(0,)))
         assert cli.main(["baseline", path]) == 0
-        assert "seed=0 return=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "seed=0 return=" in out
+        # A plain number, not a numpy repr such as np.float64(...).
+        float(out.split("return=", 1)[1].split()[0])
 
     def test_bad_config_reports_error_json(self, out_root, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
@@ -238,6 +247,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ")
         assert "sim.world.n_busy" in json.loads(err[len("ERROR "):])["error"]
+
+    @pytest.mark.parametrize("text,path", [
+        ('{"sim": {"energy": {"kappa": NaN}}}', "sim.energy.kappa"),
+        ('{"sim": {"world": {"area_side": Infinity}}}', "sim.world.area_side"),
+        ('{"sim": {"world": {"area_side": 1%s}}}' % ("0" * 400), "sim.world.area_side"),
+    ], ids=["nan", "infinity", "int-too-large-for-a-float"])
+    def test_non_finite_literal_reports_error_json(self, out_root, tmp_path, capsys,
+                                                   text, path):
+        # json.load accepts these literals. Before the finiteness check the
+        # NaN printed return=nan and exited 0, and the other two died with an
+        # OverflowError traceback.
+        cfg_path = str(tmp_path / "bad.json")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        assert cli.main(["baseline", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert path in json.loads(err[len("ERROR "):])["error"]
 
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2
@@ -266,6 +293,8 @@ class TestConfigErrors:
         ("td3", "exploration_noise_sigma", -0.1),
         ("td3", "target_noise_sigma", -0.2),
         ("td3", "warmup_steps", -1),
+        ("td3", "reward_scale", 0.0),
+        ("ppo", "reward_scale", -1.0),
     ])
     def test_learner_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
@@ -290,6 +319,10 @@ class TestConfigErrors:
         ("world", "n_idle", -1),
         ("task", "cycles_per_bit_min", 2000.0),
         ("task", "bitrate_ladder", (0.0, -1.0)),
+        ("chan_d2d", "beta0", 0.0),
+        ("chan_uav", "chi", 1.5),
+        ("econ", "p_uav_min", 3.0),
+        ("world", "h_max", 50.0),
     ])
     def test_sim_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
@@ -342,6 +375,10 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="ppo.rollout_episodes"):
             ppo_train(lambda s: OffloadEnv(small_sim(n_slots=2), s), cfg, 0)
 
+    def test_removed_induced_term_knob_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"sim\.energy\.classical_induced_term"):
+            experiment_from_dict({"sim": {"energy": {"classical_induced_term": False}}})
+
     def test_unknown_key_names_path(self, tmp_path):
         path = str(tmp_path / "c.json")
         save_experiment(tiny_experiment(), path)
@@ -352,6 +389,62 @@ class TestConfigErrors:
             json.dump(blob, fh)
         with pytest.raises(ConfigError, match="momentum"):
             load_experiment(path)
+
+
+def _bare(hint):
+    return typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Annotated else hint
+
+
+def _numeric_leaves(cls, path=""):
+    """The dotted path of every int or float field of cls, at every depth;
+    a tuple of numbers is named by its first element."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        hint, where = _bare(hints[f.name]), f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hint):
+            yield from _numeric_leaves(hint, where)
+        elif hint in (int, float):
+            yield where
+        elif typing.get_origin(hint) is tuple and _bare(typing.get_args(hint)[0]) in (int, float):
+            yield where + "[0]"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", list(_numeric_leaves(ExperimentConfig)))
+def test_non_finite_number_names_path(path, value):
+    # Before one walker checked every field, 110 of the 195 float probes
+    # validated and 76 of the rejections named no path.
+    *parents, name = path.removesuffix("[0]").split(".")
+    in_tuple = path.endswith("[0]")
+    blob = {name: [value] if in_tuple else value}
+    for key in reversed(parents):
+        blob = {key: blob}
+    with pytest.raises(ConfigError) as err:
+        experiment_from_dict(blob)
+    assert path in str(err.value)
+    # A config built in Python gets the same check from validate().
+    cfg = ExperimentConfig()
+    section = cfg
+    for key in parents:
+        section = getattr(section, key)
+    setattr(section, name, (value,) if in_tuple else value)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert path in str(err.value)
+
+
+def test_a_second_config_module_is_freed():
+    # typing caches hashable Annotated[...] hints for the life of the
+    # process. With a hashable Domain that cache kept every re-imported
+    # config module alive, and the benchmark re-imports it at each set-up.
+    spec = importlib.util.spec_from_file_location("uavmec_config_copy", config.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    copy.SimConfig().validate()
+    world = weakref.ref(copy.WorldConfig)
+    del copy, spec
+    gc.collect()
+    assert world() is None
 
 
 _counts = st.integers(1, 64)
