@@ -22,15 +22,13 @@ raw[11:14] = 0.05              # gentle drift for UAV 0
 
 act = decode(raw, sim)
 print("decoded action")
-print(f"  split     eps1={act.split.eps1:.3f} eps2={act.split.eps2:.3f} "
-      f"eps3={act.split.eps3:.3f}")
+print(f"  split     eps1={act.eps1:.3f} eps2={act.eps2:.3f} eps3={act.eps3:.3f}")
 print(f"  compute   busy={act.f_busy/1e9:.2f} GHz  idle={act.f_idle/1e9:.2f} GHz  "
       f"uav={act.f_uav/1e9:.2f} GHz")
-print(f"  prices    uav={act.prices.p_uav:.2f}  idle={act.prices.p_idle:.2f}")
-print(f"  weights   w1={act.weights.w1:.3f} w2={act.weights.w2:.3f} "
-      f"w3={act.weights.w3:.3f}")
-print(f"  transcode target {act.level.bitrate_mbps} Mbps "
-      f"(from {act.level.original_bitrate_mbps} Mbps)")
+print(f"  prices    uav={act.p_uav:.2f}  idle={act.p_idle:.2f}")
+print(f"  weights   w1={act.w1:.3f} w2={act.w2:.3f} w3={act.w3:.3f}")
+print(f"  transcode target {act.bitrate_mbps} Mbps "
+      f"(from {sim.task.original_bitrate_mbps} Mbps)")
 
 _, reward, entry, _ = env.step(raw)
 

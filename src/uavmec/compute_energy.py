@@ -1,51 +1,27 @@
 """Delay and energy formulas for local, offloaded, and UAV-side processing,
 plus the rotary-wing propulsion model.
 
-Per-UD quantities (task bits, link rates, compute shares, transcoded bits)
-and UAV speeds may be arrays, one element per UD or UAV; a formula then
-returns an array of the same shape. The split fractions, the busy and UAV
-compute levels and the transcode level are scalars for one action, or
-(B, 1) columns for a batch of B actions, which broadcast against the per-UD
-axis into one (B, I) row per action. The guards for an empty split share and
-for zero compute then act row by row; given scalars they return a scalar
-where the guard decides every element alike.
+Every formula takes plain values: the split fractions (eps1 to the
+associated UAV, eps2 to the D2D idle partner, eps3 local), task bits and
+cycles per bit, compute levels, link rates and bitrates. Per-UD quantities
+(task bits, link rates, compute shares, transcoded bits) and UAV speeds may
+be arrays, one element per UD or UAV; a formula then returns an array of the
+same shape. The split fractions, the busy and UAV compute levels and the
+transcode bitrate are scalars for one action, or (B, 1) columns for a batch
+of B actions, which broadcast against the per-UD axis into one (B, I) row
+per action. The guards for an empty split share and for zero compute then
+act row by row; given scalars they return a scalar where the guard decides
+every element alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import libm
 from .config import EnergyParams, TaskParams
-
-
-@dataclass
-class SlotTask:
-    bits: float             # raw video size this slot (or one per busy UD)
-    cycles_per_bit: float
-
-
-@dataclass
-class OffloadSplit:
-    eps1: float   # fraction to the associated UAV
-    eps2: float   # fraction to the D2D idle partner
-    eps3: float   # fraction processed locally
-
-    def validate(self) -> None:
-        for v in (self.eps1, self.eps2, self.eps3):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError("split fractions must lie in [0, 1]")
-        if abs(self.eps1 + self.eps2 + self.eps3 - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-
-
-@dataclass
-class TranscodeLevel:
-    bitrate_mbps: float
-    original_bitrate_mbps: float = 2.75
 
 
 # The guards test their masks with count_nonzero, not .all()/.any(): on the
@@ -71,13 +47,12 @@ def _zero_if_no_work(amount, value):
     return np.where(amount == 0.0, 0.0, value)
 
 
-def local_delay(t: SlotTask, split: OffloadSplit, f_local: float):
-    return _zero_if_no_work(
-        split.eps3, _ratio_or_inf(split.eps3 * t.bits * t.cycles_per_bit, f_local))
+def local_delay(eps3, bits, cycles_per_bit: float, f_local: float):
+    return _zero_if_no_work(eps3, _ratio_or_inf(eps3 * bits * cycles_per_bit, f_local))
 
 
-def local_energy(t: SlotTask, split: OffloadSplit, f_local: float, kappa: float):
-    return kappa * libm.power(f_local, 2) * split.eps3 * t.bits * t.cycles_per_bit
+def local_energy(eps3, bits, cycles_per_bit: float, f_local: float, kappa: float):
+    return kappa * libm.power(f_local, 2) * eps3 * bits * cycles_per_bit
 
 
 def flight_power(v, p: EnergyParams):
@@ -105,17 +80,17 @@ def flight_energy(v, dt: float, p: EnergyParams):
     return flight_power(v, p) * dt
 
 
-def uplink_delay_uav(t: SlotTask, split: OffloadSplit, rate_to_assoc_uav):
-    return _zero_if_no_work(split.eps1, _ratio_or_inf(split.eps1 * t.bits, rate_to_assoc_uav))
+def uplink_delay_uav(eps1, bits, rate_to_assoc_uav):
+    return _zero_if_no_work(eps1, _ratio_or_inf(eps1 * bits, rate_to_assoc_uav))
 
 
 def uplink_energy(tx_power: float, delay):
     return tx_power * delay
 
 
-def transcode_cycles_per_bit(level: TranscodeLevel, p: EnergyParams) -> float:
+def transcode_cycles_per_bit(bitrate_mbps: float, p: EnergyParams) -> float:
     """Cycles per bit for transcoding to the target bitrate: m1 * b^m2 (b in Mbps)."""
-    return p.m1 * libm.power(level.bitrate_mbps, p.m2)
+    return p.m1 * libm.power(bitrate_mbps, p.m2)
 
 
 def transcode_time(cycles_total, f_uav: float):
@@ -133,9 +108,9 @@ def transcode_energy(f_uav: float, time_s, p: EnergyParams):
     return np.where(idle, 0.0, p.s1 * libm.power(f_uav, p.y1) * np.where(idle, 0.0, time_s))
 
 
-def transcoded_bits(t: SlotTask, split: OffloadSplit, level: TranscodeLevel):
+def transcoded_bits(eps1, bits, bitrate_mbps, original_bitrate_mbps: float):
     """Post-transcode size of the UAV share, scaled by the bitrate ratio."""
-    return split.eps1 * t.bits * (level.bitrate_mbps / level.original_bitrate_mbps)
+    return eps1 * bits * (bitrate_mbps / original_bitrate_mbps)
 
 
 def uav_compute_delay(d_prime, ck: float, f_uav: float):
@@ -146,22 +121,19 @@ def uav_compute_energy(f_uav: float, d_prime, ck: float, kappa: float):
     return kappa * libm.power(f_uav, 2) * d_prime * ck
 
 
-def d2d_delay(t: SlotTask, split: OffloadSplit, rate_d2d):
-    return _zero_if_no_work(split.eps2, _ratio_or_inf(split.eps2 * t.bits, rate_d2d))
+def d2d_delay(eps2, bits, rate_d2d):
+    return _zero_if_no_work(eps2, _ratio_or_inf(eps2 * bits, rate_d2d))
 
 
-def idle_compute_delay(t: SlotTask, split: OffloadSplit, f_idle):
-    return _zero_if_no_work(
-        split.eps2, _ratio_or_inf(split.eps2 * t.bits * t.cycles_per_bit, f_idle))
+def idle_compute_delay(eps2, bits, cycles_per_bit: float, f_idle):
+    return _zero_if_no_work(eps2, _ratio_or_inf(eps2 * bits * cycles_per_bit, f_idle))
 
 
-def idle_compute_energy(t: SlotTask, split: OffloadSplit, f_idle, kappa: float):
-    return kappa * libm.power(f_idle, 2) * split.eps2 * t.bits * t.cycles_per_bit
+def idle_compute_energy(eps2, bits, cycles_per_bit: float, f_idle, kappa: float):
+    return kappa * libm.power(f_idle, 2) * eps2 * bits * cycles_per_bit
 
 
-def ladder_level(task: TaskParams, index) -> TranscodeLevel:
-    """The ladder rung at index, an int or an array of them."""
+def ladder_level(task: TaskParams, index):
+    """The ladder bitrate (Mbps) at index, an int or an array of them."""
     ladder = task.bitrate_ladder
-    return TranscodeLevel(bitrate_mbps=np.asarray(ladder)[index] if libm.is_array(index)
-                          else ladder[index],
-                          original_bitrate_mbps=task.original_bitrate_mbps)
+    return np.asarray(ladder)[index] if libm.is_array(index) else ladder[index]

@@ -272,7 +272,7 @@ class ExperimentConfig(_Section):
     td3: Td3Config = field(default_factory=Td3Config)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     algorithms: Annotated[tuple[str, ...], _NON_EMPTY] = ("td3", "ddpg", "ppo")
-    seeds: Annotated[tuple[int, ...], _NON_EMPTY] = (0, 1, 2)
+    seeds: Annotated[tuple[Annotated[int, _NONNEGATIVE], ...], _NON_EMPTY] = (0, 1, 2)
     output_dir: str = "runs"
     sweep_axes: dict[str, Annotated[list, _NON_EMPTY]] = field(default_factory=lambda: {
         "n_uav": [1, 2, 3],

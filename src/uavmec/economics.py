@@ -6,10 +6,11 @@ Compute levels enter the revenue terms in GHz so that prices in the default
 costs; raw cycles/s would let pricing terms dwarf everything else. Energy
 terms are joules converted to currency through econ.energy_price.
 
-The utilities are plain arithmetic, so their energy arguments may also be
-arrays (one element per UAV, idle UD or busy UD), giving one utility each,
-and the per-action arguments (split, compute levels, prices, weights) may be
-one value per action of a batch.
+Every function takes plain values. The utilities are plain arithmetic, so
+their energy arguments may also be arrays (one element per UAV, idle UD or
+busy UD), giving one utility each, and the per-action arguments (eps1,
+compute levels, prices, weights w1-w3) may be one value per action of a
+batch.
 """
 
 from __future__ import annotations
@@ -21,25 +22,6 @@ import numpy as np
 from .config import ComputeCaps, EconParams
 
 GHZ = 1e9
-
-
-@dataclass
-class PriceQuote:
-    p_uav: float    # currency per GHz of UAV compute
-    p_idle: float   # currency per GHz of idle-UD compute
-
-
-@dataclass
-class Weights:
-    w1: float   # UAVs
-    w2: float   # idle UDs
-    w3: float   # busy UDs
-
-    def validate(self) -> None:
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ValueError("weights must be nonnegative")
-        if abs(self.w1 + self.w2 + self.w3 - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
 
 
 @dataclass
@@ -95,5 +77,7 @@ def busy_purchase_utility(f_provider: float, price: float, u_factor: float) -> f
     return (u_factor - price) * f_provider / GHZ
 
 
-def system_revenue(u_uavs: float, u_idles: float, u_busys: float, w: Weights) -> float:
-    return w.w1 * u_uavs + w.w2 * u_idles + w.w3 * u_busys
+def system_revenue(u_uav: float, u_idle: float, u_busy: float,
+                   w1: float, w2: float, w3: float) -> float:
+    """Weighted sum of the party utilities: w1 UAVs, w2 idle UDs, w3 busy UDs."""
+    return w1 * u_uav + w2 * u_idle + w3 * u_busy

@@ -21,9 +21,9 @@ their batteries, re-associates, and draws the next slot's tasks.
 
 The slot evaluation is one array pass over all busy UDs, for one action or
 for a batch of B actions. In a batch each action's scalars (split, compute
-levels, prices, weights) are (B, 1) columns against the per-UD axis, and the
-per-UAV and per-idle-UD totals are one ``np.bincount`` each over row-offset
-indices; one action's scalars are plain floats. The evaluation is a pure
+levels, prices, weights, bitrate) are (B, 1) columns against the per-UD
+axis, and the per-UAV and per-idle-UD totals are one ``np.bincount`` each
+over row-offset indices; one action's scalars are plain floats. The evaluation is a pure
 function of the world, the drawn tasks and the actions: a slot's fading
 normals are drawn together with its tasks, and its link distances, gains and
 rates are fixed right then, so :meth:`OffloadEnv.peek_rewards` scores any
@@ -42,8 +42,6 @@ import numpy as np
 
 from . import channel, compute_energy as ce, economics as econ, libm
 from .config import SimConfig
-from .compute_energy import OffloadSplit, SlotTask, TranscodeLevel
-from .economics import PriceQuote, Weights
 from .world import (WorldState, associate, clamp_velocity, move,
                     pairwise_min_distance, spawn_world)
 
@@ -53,16 +51,20 @@ class DecodedAction:
     """One decoded action, or a batch of them: every field has the raw
     input's leading shape, a scalar for one (A,) vector and a (B,) array
     for a (B, A) batch (velocities (..., K, 3), commanded speeds (..., K))."""
-    split: OffloadSplit
-    f_busy: float
+    eps1: float                   # split: share to the associated UAV
+    eps2: float                   # share to the D2D idle partner
+    eps3: float                   # share processed locally
+    f_busy: float                 # compute levels (cycles/s)
     f_idle: float
     f_uav: float
-    prices: PriceQuote
-    weights: Weights
+    p_uav: float                  # currency per GHz of UAV compute
+    p_idle: float                 # currency per GHz of idle-UD compute
+    w1: float                     # revenue weights: UAVs
+    w2: float                     # idle UDs
+    w3: float                     # busy UDs
     velocities: np.ndarray        # (..., K, 3), speed-clamped
     commanded_speeds: np.ndarray  # (..., K), pre-clamp magnitudes
-    level: TranscodeLevel
-    level_index: int
+    bitrate_mbps: float           # transcode target, a ladder rung
 
 
 @dataclass
@@ -168,15 +170,12 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     else:                # one (B,) array per quantity
         (eps, w), levels = s.transpose(1, 2, 0), u.T
         idx = np.minimum(rung.astype(int), n_levels - 1)
-    f_busy, f_idle, f_uav, p_uav, p_idle = levels
     vel_raw = raw[..., 11:11 + 3 * k].reshape(raw.shape[:-1] + (k, 3)) * cfg.world.v_max
     commanded = np.sqrt(np.add.reduce(vel_raw * vel_raw, axis=-1))  # norm(axis=-1)
     velocities = clamp_velocity(vel_raw, cfg.world.v_max)
-    return DecodedAction(split=OffloadSplit(*eps), f_busy=f_busy, f_idle=f_idle,
-                         f_uav=f_uav, prices=PriceQuote(p_uav=p_uav, p_idle=p_idle),
-                         weights=Weights(*w), velocities=velocities,
-                         commanded_speeds=commanded, level=ce.ladder_level(cfg.task, idx),
-                         level_index=idx)
+    # Positional, in field order: eps1-3, f_busy f_idle f_uav p_uav p_idle, w1-3.
+    return DecodedAction(*eps, *levels, *w, velocities, commanded,
+                         ce.ladder_level(cfg.task, idx))
 
 
 def episode_return(rewards) -> float:
@@ -216,7 +215,7 @@ class OffloadEnv:
         self._energy_used = np.zeros(self.cfg.world.n_uav)
         # Static D2D pairing: each busy UD offloads to its nearest idle UD.
         busy, idle = self.world.busy_pos, self.world.idle_pos
-        partner = np.argmin(np.linalg.norm(idle - busy[:, None, :], axis=2), axis=1)
+        partner = associate(busy, idle)
         self._d2d_partner = partner
         self._d2d_distance = np.maximum(channel.link_distance(busy, idle[partner]), 1.0)
         # Idle compute is shared evenly among the busy UDs an idle UD serves.
@@ -285,7 +284,7 @@ class OffloadEnv:
         n_busy, n_idle, n_uav = cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav
         lead = act.velocities.shape[:-2]        # () for one action, (B,) for a batch
         n_rows = math.prod(lead)
-        task = SlotTask(bits=self._bits, cycles_per_bit=self._cycles)
+        bits, cyc = self._bits, self._cycles
 
         # A batch's per-action values meet the per-UD and per-UAV axes as
         # (B, 1) columns; one action's are plain floats, which the formulas
@@ -299,24 +298,24 @@ class OffloadEnv:
         def flag(fired, value):   # value where fired, else 0.0
             return np.where(fired, value, 0.0) if lead else (value if fired else 0.0)
 
-        split = OffloadSplit(col(act.split.eps1), col(act.split.eps2), col(act.split.eps3))
+        eps1, eps2, eps3 = col(act.eps1), col(act.eps2), col(act.eps3)
         f_busy, f_idle, f_uav = col(act.f_busy), col(act.f_idle), col(act.f_uav)
-        level = TranscodeLevel(col(act.level.bitrate_mbps), act.level.original_bitrate_mbps)
+        bitrate = col(act.bitrate_mbps)
 
         # Per-UD terms, L + (I,).
-        t_loc = ce.local_delay(task, split, f_busy)
-        e_loc = ce.local_energy(task, split, f_busy, kappa)
-        t_up = ce.uplink_delay_uav(task, split, self._rate_uav)
+        t_loc = ce.local_delay(eps3, bits, cyc, f_busy)
+        e_loc = ce.local_energy(eps3, bits, cyc, f_busy, kappa)
+        t_up = ce.uplink_delay_uav(eps1, bits, self._rate_uav)
         e_up = ce.uplink_energy(tx, t_up)
-        ck = ce.transcode_cycles_per_bit(level, cfg.energy)
-        t_tr = ce.transcode_time(ck * split.eps1 * task.bits, f_uav)
+        ck = ce.transcode_cycles_per_bit(bitrate, cfg.energy)
+        t_tr = ce.transcode_time(ck * eps1 * bits, f_uav)
         e_tr = ce.transcode_energy(f_uav, t_tr, cfg.energy)
-        d_prime = ce.transcoded_bits(task, split, level)
+        d_prime = ce.transcoded_bits(eps1, bits, bitrate, cfg.task.original_bitrate_mbps)
         e_uc = ce.uav_compute_energy(f_uav, d_prime, ck, kappa)
-        t_d2d = ce.d2d_delay(task, split, self._rate_d2d)
+        t_d2d = ce.d2d_delay(eps2, bits, self._rate_d2d)
         e_d2d = ce.uplink_energy(tx, t_d2d)
         f_share = f_idle / self._partner_load
-        e_idle = ce.idle_compute_energy(task, split, f_share, kappa)
+        e_idle = ce.idle_compute_energy(eps2, bits, cyc, f_share, kappa)
 
         # Per-UAV and per-idle-UD totals: in a batch, row b's bins follow row
         # b - 1's, so each bin adds its UDs in index order, as a loop would.
@@ -335,10 +334,10 @@ class OffloadEnv:
         e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
 
         inc = econ.incentive_factors(cfg.caps)
-        beta_uav = econ.uav_inconvenience(split.eps1, cfg.econ)
-        u_uav = _running_sums(econ.uav_utility(f_uav, col(act.prices.p_uav), e_trans_k,
+        beta_uav = econ.uav_inconvenience(eps1, cfg.econ)
+        u_uav = _running_sums(econ.uav_utility(f_uav, col(act.p_uav), e_trans_k,
                                                e_fly_k, e_comp_k, beta_uav, cfg.econ))
-        u_idle = _running_sums(econ.idle_utility(f_idle, col(act.prices.p_idle),
+        u_idle = _running_sums(econ.idle_utility(f_idle, col(act.p_idle),
                                                  e_idle_j, cfg.econ))
         u_busy_own = econ.busy_own_utility(f_busy, e_loc, e_up, e_d2d,
                                            inc.u_busy, cfg.econ)
@@ -347,10 +346,10 @@ class OffloadEnv:
              per_ud(x) for x in (u_busy_own, e_loc, e_up, e_d2d, t_loc, t_up, t_d2d)]))
         u_busy = (u_busy_own
                   + n_idle * econ.busy_purchase_utility(
-                      act.f_idle, act.prices.p_idle, inc.u_idle)
+                      act.f_idle, act.p_idle, inc.u_idle)
                   + n_uav * econ.busy_purchase_utility(
-                      act.f_uav, act.prices.p_uav, inc.u_uav))
-        q = econ.system_revenue(u_uav, u_idle, u_busy, act.weights)
+                      act.f_uav, act.p_uav, inc.u_uav))
+        q = econ.system_revenue(u_uav, u_idle, u_busy, act.w1, act.w2, act.w3)
 
         # Constraint penalties on this slot's configuration.
         pen = cfg.penalty

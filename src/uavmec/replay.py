@@ -2,18 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: float
 
 
 class ReplayBuffer:
@@ -29,13 +18,14 @@ class ReplayBuffer:
         self.size = 0
         self._head = 0
 
-    def push(self, t: Transition) -> None:
+    def push(self, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray,
+             done: float) -> None:
         i = self._head
-        self.s[i] = t.s
-        self.a[i] = t.a
-        self.r[i] = t.r
-        self.s_next[i] = t.s_next
-        self.done[i] = t.done
+        self.s[i] = s
+        self.a[i] = a
+        self.r[i] = r
+        self.s_next[i] = s_next
+        self.done[i] = done
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 

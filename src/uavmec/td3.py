@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import Td3Config
 from .nets import Mlp, all_finite, make_optimizer, soft_update
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 
 
 class DivergenceError(RuntimeError):
@@ -149,7 +149,7 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int,
             s_next, r, entry, done = env.step(a)
             ep_return += r
             ep_penalty += entry.penalty
-            buf.push(Transition(s, a, r * cfg.reward_scale, s_next, float(done)))
+            buf.push(s, a, r * cfg.reward_scale, s_next, float(done))
             s = s_next
             step += 1
             if step >= cfg.warmup_steps and buf.size >= cfg.batch_size:

@@ -91,7 +91,9 @@ def pairwise_min_distance(uav_pos: np.ndarray) -> float:
 
 
 def associate(busy_pos: np.ndarray, uav_pos: np.ndarray) -> np.ndarray:
-    """Map each busy UD to its nearest UAV (3D distance, ties -> lowest index)."""
+    """Map each busy UD to its nearest UAV (3D distance, ties -> lowest index).
+    Any positions may stand in for uav_pos: the env pairs each busy UD with
+    its nearest idle UD this way."""
     if len(uav_pos) == 0:
         raise ValueError("need at least one UAV to associate")
     diff = uav_pos - np.atleast_2d(busy_pos)[:, None, :]

@@ -11,15 +11,13 @@ policy trained on the whole action), and byte-identical reproducibility.
 """
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from uavmec.baseline import greedy_baseline
-from uavmec.config import (ChannelParams, ComputeCaps, EconParams, ExperimentConfig,
+from uavmec.config import (ChannelParams, EconParams, ExperimentConfig,
                            PenaltyConfig, SimConfig, Td3Config, WorldConfig,
                            apply_axis, load_experiment)
 from uavmec.env import OffloadEnv, action_length, decode
@@ -51,7 +49,7 @@ class TestFormulaOracles:
         hover = ce.flight_power(0.0, ep)
         assert abs(hover - 138.10) < 1e-6
         # transcode cycle model at the top ladder rung
-        assert _rel(ce.transcode_cycles_per_bit(ce.TranscodeLevel(2.3), ep),
+        assert _rel(ce.transcode_cycles_per_bit(2.3, ep),
                     1.54 * 2.3 ** 0.08) < 1e-9
 
         rng = np.random.default_rng(20260826)
@@ -59,8 +57,7 @@ class TestFormulaOracles:
             bits = rng.uniform(1e5, 5e6)
             cyc = rng.uniform(500, 2000)
             e1, e2 = rng.uniform(0.05, 0.45, size=2)
-            split = ce.OffloadSplit(e1, e2, 1.0 - e1 - e2)
-            task = ce.SlotTask(bits=bits, cycles_per_bit=cyc)
+            e3 = 1.0 - e1 - e2
             f_b = rng.uniform(1e8, 2e9)
             f_j = rng.uniform(1e8, 2e9)
             f_k = rng.uniform(1e9, 3e10)
@@ -83,33 +80,31 @@ class TestFormulaOracles:
             r = bw * math.log2(1.0 + tx * gain / noise)
             checks.append((channel.rate(bw, tx, gain, noise), r))
             # local processing
-            checks.append((ce.local_delay(task, split, f_b),
-                           split.eps3 * bits * cyc / f_b))
-            checks.append((ce.local_energy(task, split, f_b, kappa),
-                           kappa * f_b ** 2 * split.eps3 * bits * cyc))
+            checks.append((ce.local_delay(e3, bits, cyc, f_b), e3 * bits * cyc / f_b))
+            checks.append((ce.local_energy(e3, bits, cyc, f_b, kappa),
+                           kappa * f_b ** 2 * e3 * bits * cyc))
             # uplink to the UAV and D2D link
-            t_up = split.eps1 * bits / r
-            checks.append((ce.uplink_delay_uav(task, split, r), t_up))
+            t_up = e1 * bits / r
+            checks.append((ce.uplink_delay_uav(e1, bits, r), t_up))
             checks.append((ce.uplink_energy(tx, t_up), tx * t_up))
-            checks.append((ce.d2d_delay(task, split, r), split.eps2 * bits / r))
+            checks.append((ce.d2d_delay(e2, bits, r), e2 * bits / r))
             # transcoding on the UAV
             ck = ep.m1 * b_mbps ** ep.m2
-            lvl = ce.TranscodeLevel(b_mbps, tp.original_bitrate_mbps)
-            checks.append((ce.transcode_cycles_per_bit(lvl, ep), ck))
-            t_tr = ck * split.eps1 * bits / f_k
-            checks.append((ce.transcode_time(ck * split.eps1 * bits, f_k), t_tr))
+            checks.append((ce.transcode_cycles_per_bit(b_mbps, ep), ck))
+            t_tr = ck * e1 * bits / f_k
+            checks.append((ce.transcode_time(ck * e1 * bits, f_k), t_tr))
             checks.append((ce.transcode_energy(f_k, t_tr, ep),
                            ep.s1 * f_k ** ep.y1 * t_tr))
-            d_prime = split.eps1 * bits * b_mbps / tp.original_bitrate_mbps
-            checks.append((ce.transcoded_bits(task, split, lvl), d_prime))
+            d_prime = e1 * bits * b_mbps / tp.original_bitrate_mbps
+            checks.append((ce.transcoded_bits(e1, bits, b_mbps, tp.original_bitrate_mbps),
+                           d_prime))
             checks.append((ce.uav_compute_delay(d_prime, cyc, f_k),
                            d_prime * cyc / f_k))
             checks.append((ce.uav_compute_energy(f_k, d_prime, cyc, kappa),
                            kappa * f_k ** 2 * d_prime * cyc))
-            checks.append((ce.idle_compute_delay(task, split, f_j),
-                           split.eps2 * bits * cyc / f_j))
-            checks.append((ce.idle_compute_energy(task, split, f_j, kappa),
-                           kappa * f_j ** 2 * split.eps2 * bits * cyc))
+            checks.append((ce.idle_compute_delay(e2, bits, cyc, f_j), e2 * bits * cyc / f_j))
+            checks.append((ce.idle_compute_energy(e2, bits, cyc, f_j, kappa),
+                           kappa * f_j ** 2 * e2 * bits * cyc))
             # propulsion power at speed v (printed induced-term form)
             par = 0.5 * ep.d_c * ep.rho * ep.rotor_solidity * ep.rotor_area * v ** 3
             bla = ep.p_blade * (1 + 3 * v ** 2 / ep.utip ** 2)
@@ -119,8 +114,8 @@ class TestFormulaOracles:
             # utilities and revenue
             e_a, e_b, e_c = rng.uniform(0.0, 100.0, size=3)
             price = rng.uniform(0.1, 2.0)
-            beta_k = 1.0 / (1.0 - min(split.eps1, p.econ.eps1_cap))
-            checks.append((econ.uav_inconvenience(split.eps1, p.econ), beta_k))
+            beta_k = 1.0 / (1.0 - min(e1, p.econ.eps1_cap))
+            checks.append((econ.uav_inconvenience(e1, p.econ), beta_k))
             checks.append((econ.uav_utility(f_k, price, e_a, e_b, e_c, beta_k, p.econ),
                            f_k / 1e9 * price
                            - beta_k * p.econ.energy_price * (e_a + e_b + e_c)))
@@ -132,9 +127,9 @@ class TestFormulaOracles:
             checks.append((econ.busy_purchase_utility(f_k, price, 20.0),
                            (20.0 - price) * f_k / 1e9))
             w1, w2 = rng.uniform(0.1, 0.4, size=2)
-            w = econ.Weights(w1, w2, 1.0 - w1 - w2)
-            checks.append((econ.system_revenue(e_a, e_b, e_c, w),
-                           w.w1 * e_a + w.w2 * e_b + w.w3 * e_c))
+            w3 = 1.0 - w1 - w2
+            checks.append((econ.system_revenue(e_a, e_b, e_c, w1, w2, w3),
+                           w1 * e_a + w2 * e_b + w3 * e_c))
 
             worst = max(worst, max(_rel(got, want) for got, want in checks))
 
@@ -158,20 +153,18 @@ class TestDecodingFeasibility:
             a = decode(raw, cfg)
             max_simplex = max(
                 max_simplex,
-                abs(a.split.eps1 + a.split.eps2 + a.split.eps3 - 1.0),
-                abs(a.weights.w1 + a.weights.w2 + a.weights.w3 - 1.0))
-            ok = (0 <= a.split.eps1 <= 1 and 0 <= a.split.eps2 <= 1
-                  and 0 <= a.split.eps3 <= 1
-                  and 0 <= a.weights.w1 <= 1 and 0 <= a.weights.w2 <= 1
-                  and 0 <= a.weights.w3 <= 1
+                abs(a.eps1 + a.eps2 + a.eps3 - 1.0),
+                abs(a.w1 + a.w2 + a.w3 - 1.0))
+            ok = (0 <= a.eps1 <= 1 and 0 <= a.eps2 <= 1 and 0 <= a.eps3 <= 1
+                  and 0 <= a.w1 <= 1 and 0 <= a.w2 <= 1 and 0 <= a.w3 <= 1
                   and 0 <= a.f_busy <= cfg.caps.f_busy_max
                   and 0 <= a.f_idle <= cfg.caps.f_idle_max
                   and 0 <= a.f_uav <= cfg.caps.f_uav_max
-                  and cfg.econ.p_uav_min <= a.prices.p_uav <= cfg.econ.p_uav_max
-                  and cfg.econ.p_idle_min <= a.prices.p_idle <= cfg.econ.p_idle_max
+                  and cfg.econ.p_uav_min <= a.p_uav <= cfg.econ.p_uav_max
+                  and cfg.econ.p_idle_min <= a.p_idle <= cfg.econ.p_idle_max
                   and all(np.linalg.norm(v) <= cfg.world.v_max * (1 + 1e-12)
                           for v in a.velocities)
-                  and 0 <= a.level_index < len(cfg.task.bitrate_ladder))
+                  and a.bitrate_mbps in cfg.task.bitrate_ladder)
             violations += not ok
         _report("decoded actions satisfy simplex and box constraints",
                 max_simplex < 1e-9 and violations == 0,

@@ -4,47 +4,37 @@ import numpy as np
 import pytest
 
 from uavmec import compute_energy as ce
-from uavmec.compute_energy import OffloadSplit, SlotTask, TranscodeLevel
 from uavmec.config import EnergyParams, TaskParams
 
 P = EnergyParams()
 
 
-def split(e1=0.0, e2=0.0, e3=1.0):
-    return OffloadSplit(eps1=e1, eps2=e2, eps3=e3)
-
-
 class TestLocal:
     def test_zero_fraction(self):
-        t = SlotTask(bits=1e6, cycles_per_bit=1000)
-        assert ce.local_delay(t, split(e1=1, e3=0), 1e9) == 0.0
-        assert ce.local_energy(t, split(e1=1, e3=0), 1e9, 1e-27) == 0.0
+        assert ce.local_delay(0, 1e6, 1000, 1e9) == 0.0
+        assert ce.local_energy(0, 1e6, 1000, 1e9, 1e-27) == 0.0
 
     def test_one_second_case(self):
-        t = SlotTask(bits=1.5e6, cycles_per_bit=1000)
-        assert ce.local_delay(t, split(), 1.5e9) == pytest.approx(1.0)
+        assert ce.local_delay(1.0, 1.5e6, 1000, 1.5e9) == pytest.approx(1.0)
 
     def test_delay_inverse_in_f(self):
-        t = SlotTask(bits=2e6, cycles_per_bit=900)
-        assert ce.local_delay(t, split(), 1e9) == pytest.approx(
-            2 * ce.local_delay(t, split(), 2e9))
+        assert ce.local_delay(1.0, 2e6, 900, 1e9) == pytest.approx(
+            2 * ce.local_delay(1.0, 2e6, 900, 2e9))
 
     def test_energy_value(self):
         # kappa * f^2 * (eps3 * D * C) with eps3*D*C = 1.5e9
-        t = SlotTask(bits=1.5e6, cycles_per_bit=1000)
-        e = ce.local_energy(t, split(), 1.5e9, 1e-27)
+        e = ce.local_energy(1.0, 1.5e6, 1000, 1.5e9, 1e-27)
         assert e == pytest.approx(1e-27 * (1.5e9) ** 2 * 1.5e9, rel=1e-12)
         assert e == pytest.approx(3.375, rel=1e-9)
 
     def test_energy_quadratic_in_f(self):
-        t = SlotTask(bits=1e6, cycles_per_bit=1000)
-        assert ce.local_energy(t, split(), 2e9, 1e-27) == pytest.approx(
-            4 * ce.local_energy(t, split(), 1e9, 1e-27))
+        assert ce.local_energy(1.0, 1e6, 1000, 2e9, 1e-27) == pytest.approx(
+            4 * ce.local_energy(1.0, 1e6, 1000, 1e9, 1e-27))
 
     def test_energy_delay_ratio_is_kappa_f_cubed(self):
-        t = SlotTask(bits=2.2e6, cycles_per_bit=1234)
         f, kappa = 1.1e9, 1e-27
-        ratio = ce.local_energy(t, split(), f, kappa) / ce.local_delay(t, split(), f)
+        ratio = (ce.local_energy(1.0, 2.2e6, 1234, f, kappa)
+                 / ce.local_delay(1.0, 2.2e6, 1234, f))
         assert ratio == pytest.approx(kappa * f ** 3, rel=1e-12)
 
 
@@ -82,10 +72,9 @@ class TestFlight:
 
 class TestOffload:
     def test_uplink_delay(self):
-        t = SlotTask(bits=2e6, cycles_per_bit=1000)
-        assert ce.uplink_delay_uav(t, split(e1=0, e3=1), 1e7) == 0.0
-        assert ce.uplink_delay_uav(t, split(e1=0.5, e3=0.5), 1e7) == pytest.approx(0.1)
-        assert ce.uplink_delay_uav(t, split(e1=0.5, e3=0.5), 2e7) == pytest.approx(0.05)
+        assert ce.uplink_delay_uav(0, 2e6, 1e7) == 0.0
+        assert ce.uplink_delay_uav(0.5, 2e6, 1e7) == pytest.approx(0.1)
+        assert ce.uplink_delay_uav(0.5, 2e6, 2e7) == pytest.approx(0.05)
 
     def test_uplink_energy(self):
         assert ce.uplink_energy(0.5, 0.1) == pytest.approx(0.05)
@@ -95,16 +84,14 @@ class TestOffload:
 
 class TestTranscode:
     def test_cycles_per_bit_values(self):
-        assert ce.transcode_cycles_per_bit(TranscodeLevel(2.3), P) == pytest.approx(
+        assert ce.transcode_cycles_per_bit(2.3, P) == pytest.approx(
             1.54 * 2.3 ** 0.08, rel=1e-12)
-        assert ce.transcode_cycles_per_bit(TranscodeLevel(2.3), P) == pytest.approx(
-            1.646, abs=2e-3)
-        assert ce.transcode_cycles_per_bit(TranscodeLevel(0.4), P) == pytest.approx(
-            1.431, abs=2e-3)
+        assert ce.transcode_cycles_per_bit(2.3, P) == pytest.approx(1.646, abs=2e-3)
+        assert ce.transcode_cycles_per_bit(0.4, P) == pytest.approx(1.431, abs=2e-3)
 
     def test_cycles_monotone_in_bitrate(self):
         ladder = TaskParams().bitrate_ladder
-        vals = [ce.transcode_cycles_per_bit(TranscodeLevel(b), P) for b in ladder]
+        vals = [ce.transcode_cycles_per_bit(b, P) for b in ladder]
         assert vals == sorted(vals)
 
     def test_time_and_energy(self):
@@ -122,12 +109,10 @@ class TestTranscode:
         assert ce.transcode_energy(0.0, t, P) == 0.0
 
     def test_transcoded_bits(self):
-        t = SlotTask(bits=4e6, cycles_per_bit=1000)
-        s = split(e1=0.5, e3=0.5)
-        assert ce.transcoded_bits(t, s, TranscodeLevel(1.5)) == pytest.approx(
+        assert ce.transcoded_bits(0.5, 4e6, 1.5, 2.75) == pytest.approx(
             2e6 * 1.5 / 2.75, rel=1e-12)
         ladder = TaskParams().bitrate_ladder
-        sizes = [ce.transcoded_bits(t, s, TranscodeLevel(b)) for b in ladder]
+        sizes = [ce.transcoded_bits(0.5, 4e6, b, 2.75) for b in ladder]
         assert sizes == sorted(sizes)
         assert all(sz <= 0.5 * 4e6 for sz in sizes)
 
@@ -149,73 +134,49 @@ class TestUavCompute:
 
 class TestIdleRoute:
     def test_zero_fraction(self):
-        t = SlotTask(bits=1e6, cycles_per_bit=1000)
-        s = split(e1=0, e2=0, e3=1)
-        assert ce.d2d_delay(t, s, 1e7) == 0.0
-        assert ce.idle_compute_delay(t, s, 1e9) == 0.0
-        assert ce.idle_compute_energy(t, s, 1e9, 1e-27) == 0.0
+        assert ce.d2d_delay(0, 1e6, 1e7) == 0.0
+        assert ce.idle_compute_delay(0, 1e6, 1000, 1e9) == 0.0
+        assert ce.idle_compute_energy(0, 1e6, 1000, 1e9, 1e-27) == 0.0
 
     def test_idle_energy_mirrors_local(self):
-        t = SlotTask(bits=1.5e6, cycles_per_bit=1000)
-        s2 = split(e1=0, e2=1.0, e3=0)
-        s3 = split(e1=0, e2=0, e3=1.0)
-        assert ce.idle_compute_energy(t, s2, 1.5e9, 1e-27) == pytest.approx(
-            ce.local_energy(t, s3, 1.5e9, 1e-27))
-        assert ce.idle_compute_energy(t, s2, 1.5e9, 1e-27) == pytest.approx(3.375)
+        assert ce.idle_compute_energy(1.0, 1.5e6, 1000, 1.5e9, 1e-27) == pytest.approx(
+            ce.local_energy(1.0, 1.5e6, 1000, 1.5e9, 1e-27))
+        assert ce.idle_compute_energy(1.0, 1.5e6, 1000, 1.5e9, 1e-27) == pytest.approx(
+            3.375)
 
     def test_d2d_delay_value(self):
-        t = SlotTask(bits=2e6, cycles_per_bit=1000)
-        assert ce.d2d_delay(t, split(e2=0.5, e3=0.5), 1e7) == pytest.approx(0.1)
-
-
-class TestSplitValidation:
-    def test_valid(self):
-        OffloadSplit(0.2, 0.3, 0.5).validate()
-
-    def test_sum_violation(self):
-        with pytest.raises(ValueError):
-            OffloadSplit(0.5, 0.5, 0.5).validate()
-
-    def test_range_violation(self):
-        with pytest.raises(ValueError):
-            OffloadSplit(-0.1, 0.6, 0.5).validate()
+        assert ce.d2d_delay(0.5, 2e6, 1e7) == pytest.approx(0.1)
 
 
 class TestRowGuards:
     """Given (B, 1) columns, a guard acts row by row: each row equals the
     scalar call with that row's values, including rows the guard zeroes."""
 
-    TASK = SlotTask(bits=np.array([1.5e6, 2.5e6, 3.5e6]), cycles_per_bit=1100.0)
-    # Rows 0 and 1 pair an empty share with zero compute, where the
-    # unguarded ratio would be inf rather than 0.
-    EPS = [(0.5, 0.5, 0.0), (0.25, 0.0, 0.75), (0.0, 0.5, 0.5), (0.2, 0.3, 0.5)]
-    F = [0.0, 0.0, 2e9, 3e9]
+    BITS = np.array([1.5e6, 2.5e6, 3.5e6])
+    CYC = 1100.0
+    # Rows of (eps1, eps2, eps3, f). Rows 0 and 1 pair an empty share with
+    # zero compute, where the unguarded ratio would be inf rather than 0.
+    ROWS = [(0.5, 0.5, 0.0, 0.0), (0.25, 0.0, 0.75, 0.0), (0.0, 0.5, 0.5, 2e9),
+            (0.2, 0.3, 0.5, 3e9)]
 
-    def _columns(self):
-        e1, e2, e3 = (np.array(x)[:, None] for x in zip(*self.EPS))
-        return OffloadSplit(e1, e2, e3), np.array(self.F)[:, None]
-
-    def _assert_rows(self, batched, scalar_call):
-        assert batched.shape == (len(self.EPS), len(self.TASK.bits))
-        for b, ((e1, e2, e3), f) in enumerate(zip(self.EPS, self.F)):
-            want = np.broadcast_to(scalar_call(OffloadSplit(e1, e2, e3), f),
-                                   self.TASK.bits.shape)
+    def _assert_rows(self, formula):
+        """formula(eps1, eps2, eps3, f) on the (B, 1) columns of ROWS, row by
+        row against its call on that row's scalars."""
+        batched = formula(*(np.array(x)[:, None] for x in zip(*self.ROWS)))
+        assert batched.shape == (len(self.ROWS), len(self.BITS))
+        for b, row in enumerate(self.ROWS):
+            want = np.broadcast_to(formula(*row), self.BITS.shape)
             assert batched[b].tobytes() == np.asarray(want, dtype=float).tobytes()
 
     def test_delays(self):
-        s, f = self._columns()
         rate = np.array([2e7, 3e7, 4e7])
-        t = self.TASK
-        self._assert_rows(ce.local_delay(t, s, f), lambda s, f: ce.local_delay(t, s, f))
-        self._assert_rows(ce.uplink_delay_uav(t, s, rate),
-                          lambda s, f: ce.uplink_delay_uav(t, s, rate))
-        self._assert_rows(ce.d2d_delay(t, s, rate), lambda s, f: ce.d2d_delay(t, s, rate))
-        self._assert_rows(ce.idle_compute_delay(t, s, f),
-                          lambda s, f: ce.idle_compute_delay(t, s, f))
+        d, c = self.BITS, self.CYC
+        self._assert_rows(lambda e1, e2, e3, f: ce.local_delay(e3, d, c, f))
+        self._assert_rows(lambda e1, e2, e3, f: ce.uplink_delay_uav(e1, d, rate))
+        self._assert_rows(lambda e1, e2, e3, f: ce.d2d_delay(e2, d, rate))
+        self._assert_rows(lambda e1, e2, e3, f: ce.idle_compute_delay(e2, d, c, f))
 
     def test_transcode_energy_at_zero_frequency(self):
-        s, f = self._columns()
-        t = self.TASK
-        time = ce.transcode_time(s.eps1 * t.bits, f)
-        self._assert_rows(ce.transcode_energy(f, time, P), lambda s, f: ce.transcode_energy(
-            f, ce.transcode_time(s.eps1 * t.bits, f), P))
+        d = self.BITS
+        self._assert_rows(lambda e1, e2, e3, f: ce.transcode_energy(
+            f, ce.transcode_time(e1 * d, f), P))

@@ -2,7 +2,6 @@ import pytest
 
 from uavmec import economics as econ
 from uavmec.config import ComputeCaps, EconParams
-from uavmec.economics import Weights
 
 
 E = EconParams()
@@ -94,23 +93,16 @@ class TestBusyUtility:
 
 class TestSystemRevenue:
     def test_single_weight(self):
-        assert econ.system_revenue(7.0, -3.0, 5.0, Weights(1, 0, 0)) == 7.0
+        assert econ.system_revenue(7.0, -3.0, 5.0, 1, 0, 0) == 7.0
 
     def test_equal_weights(self):
-        w = Weights(1 / 3, 1 / 3, 1 / 3)
-        assert econ.system_revenue(3.0, 3.0, 3.0, w) == pytest.approx(3.0)
+        w = (1 / 3, 1 / 3, 1 / 3)
+        assert econ.system_revenue(3.0, 3.0, 3.0, *w) == pytest.approx(3.0)
 
     def test_weighted_mix(self):
-        w = Weights(0.5, 0.3, 0.2)
-        assert econ.system_revenue(10.0, -5.0, 5.0, w) == pytest.approx(4.5)
+        assert econ.system_revenue(10.0, -5.0, 5.0, 0.5, 0.3, 0.2) == pytest.approx(4.5)
 
     def test_permutation_invariance(self):
-        a = econ.system_revenue(1.0, 2.0, 3.0, Weights(0.2, 0.3, 0.5))
-        b = econ.system_revenue(3.0, 2.0, 1.0, Weights(0.5, 0.3, 0.2))
+        a = econ.system_revenue(1.0, 2.0, 3.0, 0.2, 0.3, 0.5)
+        b = econ.system_revenue(3.0, 2.0, 1.0, 0.5, 0.3, 0.2)
         assert a == pytest.approx(b)
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            Weights(0.5, 0.5, 0.5).validate()
-        with pytest.raises(ValueError):
-            Weights(-0.2, 0.6, 0.6).validate()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,24 +8,23 @@ from hypothesis import strategies as st
 from conftest import small_sim
 from uavmec.baseline import greedy_action
 from uavmec.config import ConfigError, SimConfig
-from uavmec.env import (OffloadEnv, action_length, decode, episode_return,
-                        state_length, write_ledger_csv)
+from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
+                        episode_return, state_length, write_ledger_csv)
 
 
 def _assert_feasible(act, cfg):
-    s = act.split
-    assert abs(s.eps1 + s.eps2 + s.eps3 - 1) < 1e-9
-    assert min(s.eps1, s.eps2, s.eps3) >= 0
-    w = act.weights
-    assert abs(w.w1 + w.w2 + w.w3 - 1) < 1e-9
+    assert abs(act.eps1 + act.eps2 + act.eps3 - 1) < 1e-9
+    assert min(act.eps1, act.eps2, act.eps3) >= 0
+    assert abs(act.w1 + act.w2 + act.w3 - 1) < 1e-9
+    assert min(act.w1, act.w2, act.w3) >= 0
     assert 0 <= act.f_busy <= cfg.caps.f_busy_max
     assert 0 <= act.f_idle <= cfg.caps.f_idle_max
     assert 0 <= act.f_uav <= cfg.caps.f_uav_max
-    assert cfg.econ.p_uav_min <= act.prices.p_uav <= cfg.econ.p_uav_max
-    assert cfg.econ.p_idle_min <= act.prices.p_idle <= cfg.econ.p_idle_max
+    assert cfg.econ.p_uav_min <= act.p_uav <= cfg.econ.p_uav_max
+    assert cfg.econ.p_idle_min <= act.p_idle <= cfg.econ.p_idle_max
     speeds = np.linalg.norm(act.velocities, axis=1)
     assert np.all(speeds <= cfg.world.v_max + 1e-12)
-    assert act.level.bitrate_mbps in cfg.task.bitrate_ladder
+    assert act.bitrate_mbps in cfg.task.bitrate_ladder
 
 
 class TestReset:
@@ -57,8 +58,8 @@ class TestDecode:
     def test_softmax_symmetry(self, sim_cfg):
         raw = np.zeros(action_length(sim_cfg.world.n_uav))
         act = decode(raw, sim_cfg)
-        assert act.split.eps1 == pytest.approx(1 / 3)
-        assert act.weights.w1 == pytest.approx(1 / 3)
+        assert act.eps1 == pytest.approx(1 / 3)
+        assert act.w1 == pytest.approx(1 / 3)
 
     def test_f_uav_cap(self, sim_cfg):
         raw = np.zeros(action_length(sim_cfg.world.n_uav))
@@ -68,12 +69,12 @@ class TestDecode:
     def test_lowest_bitrate_bin(self, sim_cfg):
         raw = np.zeros(action_length(sim_cfg.world.n_uav))
         raw[-1] = -1.0
-        assert decode(raw, sim_cfg).level.bitrate_mbps == pytest.approx(0.4)
+        assert decode(raw, sim_cfg).bitrate_mbps == pytest.approx(0.4)
 
     def test_highest_bitrate_bin(self, sim_cfg):
         raw = np.zeros(action_length(sim_cfg.world.n_uav))
         raw[-1] = 1.0
-        assert decode(raw, sim_cfg).level.bitrate_mbps == pytest.approx(2.3)
+        assert decode(raw, sim_cfg).bitrate_mbps == pytest.approx(2.3)
 
     def test_wrong_length_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -84,6 +85,21 @@ class TestDecode:
         n = action_length(sim_cfg.world.n_uav)
         for _ in range(1000):
             _assert_feasible(decode(rng.uniform(-1, 1, n), sim_cfg), sim_cfg)
+
+    def test_batch_rows_equal_single_decodes(self, sim_cfg):
+        """Row b of a decoded batch is decode(batch[b]) bit for bit in every
+        field, and every row is feasible: both simplices, every box."""
+        rng = np.random.default_rng(5)
+        batch = _mixed_batch(rng, 100, action_length(sim_cfg.world.n_uav))
+        rows = decode(batch, sim_cfg)
+        names = [f.name for f in dataclasses.fields(DecodedAction)]
+        for b, raw in enumerate(batch):
+            row = DecodedAction(**{name: getattr(rows, name)[b] for name in names})
+            one = decode(raw, sim_cfg)
+            for name in names:
+                assert (np.asarray(getattr(row, name), dtype=float).tobytes()
+                        == np.asarray(getattr(one, name), dtype=float).tobytes()), name
+            _assert_feasible(row, sim_cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected_by_index(self, sim_cfg, bad):
@@ -96,12 +112,12 @@ class TestDecode:
         n = action_length(sim_cfg.world.n_uav)
         high = decode(np.full(n, 5.0), sim_cfg)
         assert high.f_busy == sim_cfg.caps.f_busy_max
-        assert high.prices.p_uav == sim_cfg.econ.p_uav_max
+        assert high.p_uav == sim_cfg.econ.p_uav_max
         assert np.array_equal(high.velocities, decode(np.ones(n), sim_cfg).velocities)
         low = decode(np.full(n, -9.0), sim_cfg)
         assert low.f_uav == 0.0
-        assert low.prices.p_uav == sim_cfg.econ.p_uav_min
-        assert low.level_index == 0
+        assert low.p_uav == sim_cfg.econ.p_uav_min
+        assert low.bitrate_mbps == sim_cfg.task.bitrate_ladder[0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),

@@ -331,6 +331,14 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=f"{section}.{field}"):
             cfg.validate()
 
+    def test_negative_seed_names_index(self):
+        # Before the bound this validated, and the first run died in numpy's
+        # default_rng with "expected non-negative integer", naming no field.
+        with pytest.raises(ConfigError, match=r"seeds\[0\] must be nonnegative"):
+            experiment_from_dict({"seeds": [-1]})
+        with pytest.raises(ConfigError, match=r"seeds\[1\] must be nonnegative"):
+            tiny_experiment(seeds=(0, -1)).validate()
+
     @pytest.mark.parametrize("blob,path", [
         ({"sim": {"world": {"n_busy": "abc"}}}, r"sim\.world\.n_busy"),
         ({"seeds": 3}, "seeds"),

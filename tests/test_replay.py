@@ -1,28 +1,26 @@
 import numpy as np
 import pytest
 
-from uavmec.replay import ReplayBuffer, Transition
+from uavmec.replay import ReplayBuffer
 
 
-def make_transition(i, state_dim=2, action_dim=1):
-    return Transition(s=np.full(state_dim, float(i)),
-                      a=np.full(action_dim, float(i)),
-                      r=float(i),
-                      s_next=np.full(state_dim, float(i) + 0.5),
-                      done=0.0)
+def push(buf, i):
+    """Push transition i into a buffer of 2-dim states and 1-dim actions."""
+    buf.push(np.full(2, float(i)), np.full(1, float(i)), float(i),
+             np.full(2, float(i) + 0.5), 0.0)
 
 
 def test_size_capped_at_capacity():
     buf = ReplayBuffer(10, 2, 1, np.random.default_rng(0))
     for i in range(25):
-        buf.push(make_transition(i))
+        push(buf, i)
     assert buf.size == 10
 
 
 def test_oldest_entries_evicted():
     buf = ReplayBuffer(8, 2, 1, np.random.default_rng(0))
     for i in range(8 + 3):
-        buf.push(make_transition(i))
+        push(buf, i)
     stored = set(buf.r[:buf.size])
     assert stored == {float(i) for i in range(3, 11)}
 
@@ -30,7 +28,7 @@ def test_oldest_entries_evicted():
 def test_sample_shapes_and_membership():
     buf = ReplayBuffer(50, 2, 1, np.random.default_rng(1))
     for i in range(30):
-        buf.push(make_transition(i))
+        push(buf, i)
     s, a, r, s2, d = buf.sample(16)
     assert s.shape == (16, 2) and a.shape == (16, 1) and r.shape == (16,)
     assert set(r).issubset({float(i) for i in range(30)})
@@ -39,7 +37,7 @@ def test_sample_shapes_and_membership():
 def test_sample_without_replacement_within_batch():
     buf = ReplayBuffer(20, 2, 1, np.random.default_rng(2))
     for i in range(20):
-        buf.push(make_transition(i))
+        push(buf, i)
     for _ in range(20):
         _, _, r, _, _ = buf.sample(20)
         assert len(set(r)) == 20
@@ -48,7 +46,7 @@ def test_sample_without_replacement_within_batch():
 def test_sampling_is_near_uniform():
     buf = ReplayBuffer(10, 2, 1, np.random.default_rng(3))
     for i in range(10):
-        buf.push(make_transition(i))
+        push(buf, i)
     counts = np.zeros(10)
     draws = 40_000
     for _ in range(draws):
@@ -60,6 +58,6 @@ def test_sampling_is_near_uniform():
 
 def test_oversized_batch_rejected():
     buf = ReplayBuffer(10, 2, 1, np.random.default_rng(0))
-    buf.push(make_transition(0))
+    push(buf, 0)
     with pytest.raises(ValueError):
         buf.sample(2)
