@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from .config import SimConfig
-from .env import OffloadEnv
+from .env import OffloadEnv, episode_return, rollout
 
 GRID = (-1.0, 0.0, 1.0)
 # Scalar dims scored per kernel call. On a 2-vCPU x86_64 machine a
@@ -76,15 +76,8 @@ def greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
 def greedy_episode(cfg: SimConfig, seed: int, passes: int = 1):
     """Roll one greedy episode; returns (episode return, ledger entries)."""
     env = OffloadEnv(cfg, seed)
-    total = 0.0
-    entries = []
-    done = False
-    while not done:
-        a = greedy_action(env, passes=passes)
-        _, r, entry, done = env.step(a)
-        total += r
-        entries.append(entry)
-    return total, entries
+    entries = rollout(env, lambda _: greedy_action(env, passes=passes))
+    return episode_return(e.reward for e in entries), entries
 
 
 def greedy_baseline(cfg: SimConfig, seed: int) -> float:
@@ -96,9 +89,5 @@ def greedy_baseline(cfg: SimConfig, seed: int) -> float:
 def zeros_baseline(cfg: SimConfig, seed: int) -> float:
     """Episode return of the all-zeros raw action (comparison policy)."""
     env = OffloadEnv(cfg, seed)
-    total = 0.0
-    done = False
-    while not done:
-        _, r, _, done = env.step(np.zeros(env.action_dim))
-        total += r
-    return total
+    entries = rollout(env, lambda _: np.zeros(env.action_dim))
+    return episode_return(e.reward for e in entries)

@@ -77,7 +77,7 @@ class WorldConfig(_Section):
     n_busy: Count = 20
     n_idle: Count = 10   # the D2D route needs an idle UD
     n_uav: Count = 5
-    h_min: float = 100.0
+    h_min: Positive = 100.0
     h_max: float = 200.0
     v_max: Positive = 25.0
     d_min: Positive = 3.0
@@ -280,7 +280,8 @@ class ExperimentConfig(_Section):
         "n_busy": [4, 8, 12],
         "f_k_max": [10e9, 20e9, 30e9],
     })
-    config_version: int = 1
+    # The snapshot format; only the current version loads.
+    config_version: Annotated[int, Domain("must be 1", lambda v: v == 1)] = 1
 
     def _rules(self, at: str) -> None:
         for a in self.algorithms:

@@ -182,6 +182,17 @@ def episode_return(rewards) -> float:
     return float(sum(rewards))
 
 
+def rollout(env: OffloadEnv, policy) -> list[LedgerEntry]:
+    """Step env from its current state until it is done, taking
+    ``policy(state)`` as each raw action; the ledger entry of every step."""
+    s = env.state()
+    entries = []
+    while not env.done:
+        s, _, entry, _ = env.step(policy(s))
+        entries.append(entry)
+    return entries
+
+
 class OffloadEnv:
     """Deterministic, seedable episodic environment (step/reset interface)."""
 
@@ -204,6 +215,8 @@ class OffloadEnv:
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
+            if seed < 0:
+                raise ValueError(f"seed must be nonnegative, got {seed!r}")
             self._seed = seed
         self.world = spawn_world(self.cfg.world, self._seed)
         self.rng = np.random.default_rng([self._seed, 0xE17])
@@ -414,23 +427,3 @@ class OffloadEnv:
     def peek_reward(self, raw_action) -> float:
         """Reward of taking raw_action now: :meth:`peek_rewards` of one row."""
         return self.peek_rewards(np.asarray(raw_action, dtype=float)[None])[0]
-
-
-def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]],
-                     n_uav: int) -> None:
-    """One row per (episode, slot), with per-UAV position/energy columns."""
-    cols = ["episode", "slot", "Q", "U_K", "U_J", "U_I",
-            "F1", "F2", "F3", "F4", "reward"]
-    for k in range(n_uav):
-        cols += [f"uav{k}_x", f"uav{k}_y", f"uav{k}_z", f"uav{k}_energy"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for ep in sorted(entries_by_episode):
-            for e in entries_by_episode[ep]:
-                row = [str(ep), str(e.slot)]
-                # float() first: numpy scalars repr as "np.float64(...)".
-                row += [repr(float(v)) for v in (e.q, e.u_uav, e.u_idle, e.u_busy,
-                                                 e.f1, e.f2, e.f3, e.f4, e.reward)]
-                for cells in e.uav_rows:
-                    row += [repr(float(v)) for v in cells]
-                fh.write(",".join(row) + "\n")

@@ -13,7 +13,7 @@ import numpy as np
 from . import config as cfgmod
 from .baseline import greedy_baseline
 from .config import ExperimentConfig, SimConfig, apply_axis
-from .env import OffloadEnv, write_ledger_csv
+from .env import LedgerEntry, OffloadEnv, rollout
 from .nets import Mlp
 from .ppo import ppo_train
 from .td3 import ddpg_train, save_actor, td3_train
@@ -36,6 +36,17 @@ def _prepare_dir(cfg: ExperimentConfig, name: str) -> str:
     run_dir = os.path.join(output_root(cfg), name)
     os.makedirs(run_dir, exist_ok=True)
     return run_dir
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """header, then one line per row. A float cell, numpy's included, is
+    written as repr(float(x)), the shortest text that reads back to the same
+    float; any other cell as str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) if isinstance(x, (float, np.floating))
+                              else str(x) for x in row) + "\n")
 
 
 def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
@@ -78,17 +89,15 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
     cfg.validate()
     run_dir = _prepare_dir(cfg, name)
     snap, meta = _snapshot(cfg, run_dir)
+    rows = []
+    for algo in cfg.algorithms:
+        for seed in cfg.seeds:
+            returns, actor = _train_one(algo, cfg.sim, cfg, seed)
+            rows += [(algo, seed, ep, ret) for ep, ret in enumerate(returns)]
+            if actor is not None:
+                save_actor(os.path.join(run_dir, f"actor_{algo}_{seed}.npz"), actor)
     conv = os.path.join(run_dir, "convergence.csv")
-    with open(conv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("algorithm,seed,episode,return\n")
-        for algo in cfg.algorithms:
-            for seed in cfg.seeds:
-                returns, actor = _train_one(algo, cfg.sim, cfg, seed)
-                for ep, ret in enumerate(returns):
-                    fh.write(f"{algo},{seed},{ep},{float(ret)!r}\n")
-                if actor is not None:
-                    save_actor(os.path.join(run_dir, f"actor_{algo}_{seed}.npz"),
-                               actor)
+    _write_csv(conv, ("algorithm", "seed", "episode", "return"), rows)
     return RunArtifact(run_dir=run_dir, convergence_csv=conv,
                        config_snapshot=snap, metadata=meta)
 
@@ -109,18 +118,15 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
                 returns, _ = _train_one(algo, sim, cfg, seed)
                 detail_rows.append((value, algo, seed, converged_return(returns)))
     detail = os.path.join(run_dir, f"sweep_{axis}_detail.csv")
-    with open(detail, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{axis},algorithm,seed,converged_return\n")
-        for value, algo, seed, ret in detail_rows:
-            fh.write(f"{value!r},{algo},{seed},{ret!r}\n")
+    _write_csv(detail, (axis, "algorithm", "seed", "converged_return"), detail_rows)
+    summary_rows = []
+    for value in cfg.sweep_axes[axis]:
+        for algo in cfg.algorithms:
+            vals = [r for v, a, _, r in detail_rows if v == value and a == algo]
+            summary_rows.append((value, algo, np.mean(vals), np.std(vals), len(vals)))
     summary = os.path.join(run_dir, f"sweep_{axis}_summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{axis},algorithm,mean_return,std_return,n_seeds\n")
-        for value in cfg.sweep_axes[axis]:
-            for algo in cfg.algorithms:
-                vals = [r for v, a, _, r in detail_rows if v == value and a == algo]
-                fh.write(f"{value!r},{algo},{float(np.mean(vals))!r},"
-                         f"{float(np.std(vals))!r},{len(vals)}\n")
+    _write_csv(summary, (axis, "algorithm", "mean_return", "std_return", "n_seeds"),
+               summary_rows)
     return RunArtifact(run_dir=run_dir, sweep_csv=summary,
                        config_snapshot=snap, metadata=meta)
 
@@ -129,37 +135,31 @@ def export_trajectory(actor: Mlp, sim: SimConfig, seed: int, path: str) -> None:
     """Roll one noise-free episode under the actor and write per-slot
     positions. UD rows are static and carry slot = -1."""
     env = OffloadEnv(sim, seed)
-    rows = []
-    for i, p in enumerate(env.world.busy_pos):
-        rows.append(("busy", i, -1, p[0], p[1], p[2]))
-    for j, p in enumerate(env.world.idle_pos):
-        rows.append(("idle", j, -1, p[0], p[1], p[2]))
-    s = env.state()
-    done = False
-    slot = 0
-    while not done:
-        a = actor.forward(s)[0]
-        s, _, entry, done = env.step(a)
-        for k, (x, y, z, _e) in enumerate(entry.uav_rows):
-            rows.append(("uav", k, slot, x, y, z))
-        slot += 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,id,slot,x,y,z\n")
-        for kind, eid, sl, x, y, z in rows:
-            fh.write(f"{kind},{eid},{sl},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+    rows = [("busy", i, -1, *p) for i, p in enumerate(env.world.busy_pos)]
+    rows += [("idle", j, -1, *p) for j, p in enumerate(env.world.idle_pos)]
+    for entry in rollout(env, lambda s: actor.forward(s)[0]):
+        rows += [("uav", k, entry.slot, x, y, z)
+                 for k, (x, y, z, _) in enumerate(entry.uav_rows)]
+    _write_csv(path, ("kind", "id", "slot", "x", "y", "z"), rows)
+
+
+def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]],
+                     n_uav: int) -> None:
+    """One row per (episode, slot), with per-UAV position/energy columns."""
+    header = ["episode", "slot", "Q", "U_K", "U_J", "U_I",
+              "F1", "F2", "F3", "F4", "reward"]
+    header += [f"uav{k}_{c}" for k in range(n_uav) for c in ("x", "y", "z", "energy")]
+    # float(): a penalty configured as an int stays an int in the ledger.
+    rows = ([ep, e.slot, *map(float, (e.q, e.u_uav, e.u_idle, e.u_busy,
+                                      e.f1, e.f2, e.f3, e.f4, e.reward))]
+            + [v for cells in e.uav_rows for v in cells]
+            for ep in sorted(entries_by_episode) for e in entries_by_episode[ep])
+    _write_csv(path, header, rows)
 
 
 def export_ledger(cfg: SimConfig, actor: Mlp, seed: int, path: str,
                   episodes: int = 1) -> None:
     """Noise-free rollouts of the actor, written as the per-slot ledger CSV."""
-    by_episode = {}
-    for ep in range(episodes):
-        env = OffloadEnv(cfg, seed + ep)
-        s = env.state()
-        entries = []
-        done = False
-        while not done:
-            s, _, entry, done = env.step(actor.forward(s)[0])
-            entries.append(entry)
-        by_episode[ep] = entries
+    by_episode = {ep: rollout(OffloadEnv(cfg, seed + ep), lambda s: actor.forward(s)[0])
+                  for ep in range(episodes)}
     write_ledger_csv(path, by_episode, cfg.world.n_uav)

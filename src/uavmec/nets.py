@@ -39,15 +39,13 @@ def _views(flat: np.ndarray, sizes: list[int]):
 
 
 class Mlp:
-    def __init__(self, sizes: list[int], out_activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, sizes: list[int], out_activation: str, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if min(sizes) < 1:
             raise ValueError(f"layer sizes must be positive, got {list(sizes)}")
         if out_activation not in ("identity", "tanh"):
             raise ValueError("out_activation must be 'identity' or 'tanh'")
-        rng = rng or np.random.default_rng()
         self.sizes = list(sizes)
         self.out_activation = out_activation
         n_params = sum(fan_in * fan_out + fan_out

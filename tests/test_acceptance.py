@@ -20,7 +20,7 @@ from uavmec.baseline import greedy_baseline
 from uavmec.config import (ChannelParams, EconParams, ExperimentConfig,
                            PenaltyConfig, SimConfig, Td3Config, WorldConfig,
                            apply_axis, load_experiment)
-from uavmec.env import OffloadEnv, action_length, decode
+from uavmec.env import OffloadEnv, action_length, decode, rollout
 from uavmec.harness import run
 from uavmec.nets import Mlp, soft_update
 from uavmec.td3 import Td3Agent, ddpg_train, td3_train, td_target
@@ -182,11 +182,8 @@ class TestRewardIdentity:
         bad = 0
         for ep in range(100):
             env = OffloadEnv(cfg, ep)
-            done = False
-            while not done:
-                a = rng.uniform(-1.0, 1.0, size=env.action_dim)
-                _, r, e, done = env.step(a)
-                if (r != e.q - e.penalty
+            for e in rollout(env, lambda _: rng.uniform(-1.0, 1.0, size=env.action_dim)):
+                if (e.reward != e.q - e.penalty
                         or e.penalty != e.f1 + e.f2 + e.f3 + e.f4):
                     bad += 1
         _report("reward == revenue - penalties, bitwise, over 100 episodes",

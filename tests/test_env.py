@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,7 +10,8 @@ from conftest import small_sim
 from uavmec.baseline import greedy_action
 from uavmec.config import ConfigError, SimConfig
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
-                        episode_return, state_length, write_ledger_csv)
+                        episode_return, rollout, state_length)
+from uavmec.harness import write_ledger_csv
 
 
 def _assert_feasible(act, cfg):
@@ -43,6 +45,14 @@ class TestReset:
     def test_state_normalized(self, sim_cfg):
         s = OffloadEnv(sim_cfg, 1).reset()
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
+
+    def test_negative_seed_named(self, sim_cfg):
+        # Before the check numpy raised "expected non-negative integer".
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            OffloadEnv(sim_cfg, -1)
+        env = OffloadEnv(sim_cfg, 0)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+            env.reset(-2)
 
     def test_fixed_cycle_density_is_finite(self):
         cfg = small_sim()
@@ -131,10 +141,8 @@ class TestStep:
     def test_reward_identity(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 2)
         rng = np.random.default_rng(2)
-        done = False
-        while not done:
-            _, r, e, done = env.step(rng.uniform(-1, 1, env.action_dim))
-            assert r == e.q - e.penalty
+        for e in rollout(env, lambda _: rng.uniform(-1, 1, env.action_dim)):
+            assert e.reward == e.q - e.penalty
             assert e.penalty == e.f1 + e.f2 + e.f3 + e.f4
 
     def test_step_after_done_raises(self, sim_cfg):
@@ -147,9 +155,7 @@ class TestStep:
     def test_remaining_energy_nonincreasing(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 4)
         prev = [sim_cfg.world.battery_j] * sim_cfg.world.n_uav
-        done = False
-        while not done:
-            _, _, entry, done = env.step(np.zeros(env.action_dim))
+        for entry in rollout(env, lambda _: np.zeros(env.action_dim)):
             cur = [row[3] for row in entry.uav_rows]
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
@@ -171,11 +177,7 @@ class TestStep:
         cfg = small_sim(n_slots=6)
         cfg.world.battery_j = 200.0  # hover alone drains this within two slots
         env = OffloadEnv(cfg, 0)
-        flags = []
-        done = False
-        while not done:
-            _, _, e, done = env.step(np.zeros(env.action_dim))
-            flags.append(e.f2 > 0)
+        flags = [e.f2 > 0 for e in rollout(env, lambda _: np.zeros(env.action_dim))]
         assert any(flags)
         first = flags.index(True)
         assert all(flags[first:])
@@ -265,6 +267,7 @@ class TestPeekReward:
 
     def test_greedy_search_neither_steps_nor_clones(self):
         calls = []
+        # clone() is one deep copy; any other copy of the env is caught here.
 
         class Watched(OffloadEnv):
             def step(self, raw_action):
@@ -274,6 +277,12 @@ class TestPeekReward:
             def clone(self):
                 calls.append("clone")
                 return super().clone()
+
+            def __deepcopy__(self, memo):
+                calls.append("deepcopy")
+                twin = memo[id(self)] = object.__new__(type(self))
+                twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
+                return twin
 
             def peek_rewards(self, actions):
                 calls.append(len(actions))
@@ -398,6 +407,25 @@ class TestPeekRewards:
         assert before[1] == after[1]
 
 
+class TestRollout:
+    def test_plays_from_the_current_state_to_the_end(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 6)
+        env.step(np.zeros(env.action_dim))
+        first = env.state()
+        seen = []
+
+        def policy(s):
+            seen.append(s)
+            return np.zeros(env.action_dim)
+
+        entries = rollout(env, policy)
+        assert [e.slot for e in entries] == list(range(1, sim_cfg.world.n_slots))
+        assert len(seen) == len(entries)
+        assert np.array_equal(seen[0], first)
+        assert env.done
+        assert rollout(env, policy) == []
+
+
 class TestEpisodeReturn:
     def test_examples(self):
         assert episode_return([]) == 0.0
@@ -406,24 +434,15 @@ class TestEpisodeReturn:
     def test_matches_q_minus_f(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 3)
         rng = np.random.default_rng(3)
-        rewards, entries = [], []
-        done = False
-        while not done:
-            _, r, e, done = env.step(rng.uniform(-1, 1, env.action_dim))
-            rewards.append(r)
-            entries.append(e)
-        assert episode_return(rewards) == pytest.approx(
+        entries = rollout(env, lambda _: rng.uniform(-1, 1, env.action_dim))
+        assert episode_return(e.reward for e in entries) == pytest.approx(
             sum(e.q for e in entries) - sum(e.penalty for e in entries))
 
 
 class TestLedgerCsv:
     def test_schema_and_rows(self, tmp_path, sim_cfg):
         env = OffloadEnv(sim_cfg, 0)
-        entries = []
-        done = False
-        while not done:
-            _, _, e, done = env.step(np.zeros(env.action_dim))
-            entries.append(e)
+        entries = rollout(env, lambda _: np.zeros(env.action_dim))
         path = tmp_path / "ledger.csv"
         write_ledger_csv(str(path), {0: entries}, sim_cfg.world.n_uav)
         lines = path.read_text().strip().split("\n")

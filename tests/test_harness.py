@@ -23,7 +23,8 @@ from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
                            load_experiment, save_experiment)
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
-from uavmec.td3 import load_actor, td3_train
+from uavmec.nets import Mlp
+from uavmec.td3 import load_actor, save_actor, td3_train
 
 
 def tiny_experiment(**kw):
@@ -183,7 +184,6 @@ class TestTrajectory:
     def test_export_is_deterministic(self, out_root, tmp_path):
         sim = small_sim(n_slots=4)
         rng = np.random.default_rng(7)
-        from uavmec.nets import Mlp
         env = OffloadEnv(sim, 0)
         actor = Mlp((env.state_dim, 8, env.action_dim), out_activation="tanh", rng=rng)
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -220,6 +220,21 @@ class TestCli:
         assert cli.main(["trajectory", ckpt, path, "--seed", "1", "--out", out]) == 0
         with open(out) as fh:
             assert fh.readline().strip() == "kind,id,slot,x,y,z"
+
+    def test_negative_trajectory_seed_reports_error_json(self, out_root, tmp_path, capsys):
+        # Before the check numpy's "expected non-negative integer" named no seed.
+        cfg = tiny_experiment(seeds=(0,))
+        path = self._write_cfg(tmp_path, cfg)
+        env = OffloadEnv(cfg.sim, 0)
+        ckpt = str(tmp_path / "actor.npz")
+        save_actor(ckpt, Mlp([env.state_dim, 4, env.action_dim], "tanh",
+                             np.random.default_rng(0)))
+        out = str(tmp_path / "traj.csv")
+        assert cli.main(["trajectory", ckpt, path, "--seed", "-1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["error"] == "seed must be nonnegative, got -1"
+        assert not os.path.exists(out)
 
     def test_baseline_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(
@@ -295,13 +310,14 @@ class TestConfigErrors:
         ("td3", "warmup_steps", -1),
         ("td3", "reward_scale", 0.0),
         ("ppo", "reward_scale", -1.0),
+        ("", "config_version", 99),          # "" is the experiment itself
     ])
     def test_learner_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
         cfg.td3.batch_size = 16
         cfg.validate()
-        setattr(getattr(cfg, section), field, value)
-        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+        setattr(getattr(cfg, section) if section else cfg, field, value)
+        with pytest.raises(ConfigError, match=f"{section}.{field}".lstrip(".")):
             cfg.validate()
 
     def test_zero_noise_and_warmup_allowed(self):
@@ -323,6 +339,8 @@ class TestConfigErrors:
         ("chan_uav", "chi", 1.5),
         ("econ", "p_uav_min", 3.0),
         ("world", "h_max", 50.0),
+        ("world", "h_min", -50.0),    # UAVs sent down would fly below the UDs
+        ("world", "h_min", 0.0),
     ])
     def test_sim_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
