@@ -21,6 +21,7 @@ import sys
 from . import harness
 from .baseline import greedy_baseline
 from .config import SWEEP_AXES, ConfigError, load_experiment
+from .env import action_length, state_length
 from .td3 import load_actor
 
 
@@ -63,6 +64,13 @@ def main(argv=None) -> int:
         elif args.command == "trajectory":
             cfg = load_experiment(args.config)
             actor = load_actor(args.checkpoint)
+            world = cfg.sim.world
+            want = (state_length(world.n_busy, world.n_uav), action_length(world.n_uav))
+            got = (actor.sizes[0], actor.sizes[-1])
+            if got != want:
+                raise ValueError(f"checkpoint {args.checkpoint} maps {got[0]} state "
+                                 f"inputs to {got[1]} actions, but the config has "
+                                 f"{want[0]} state inputs and {want[1]} actions")
             harness.export_trajectory(actor, cfg.sim, args.seed, args.out)
             print(f"trajectory CSV: {args.out}")
         elif args.command == "baseline":

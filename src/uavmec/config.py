@@ -136,11 +136,11 @@ class EconParams(_Section):
     p_uav_max: Positive = 2.0
     p_idle_min: Positive = 0.1
     p_idle_max: Positive = 2.0
-    beta_busy: float = 1.0
-    beta_idle: float = 1.0
+    beta_busy: NonNegative = 1.0
+    beta_idle: NonNegative = 1.0
     eps1_cap: Fraction = 0.95
     # Joules are converted to currency at this rate before entering utilities.
-    energy_price: float = 0.01
+    energy_price: NonNegative = 0.01
     # When true, the busy-UD utility subtracts (E_local - E_off_uav - E_off_d2d)
     # as printed; when false, all three energies are costs.
     paper_sign_convention: bool = True

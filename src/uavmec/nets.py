@@ -2,10 +2,11 @@
 
 Hidden layers are rectified-linear; the output layer is either identity
 (critics) or tanh (actors). ``backward`` computes, on request, the parameter
-gradients and the gradient with respect to the input; the latter lets the
-actor update chain through a critic's action input. Each caller asks only for
-what it reads: a net's own update skips the layer-0 input-gradient product,
-and the actor's pass through a critic skips the critic's parameter gradients.
+gradients (into ``grad``) and the gradient with respect to the input, which
+it returns; the latter lets the actor update chain through a critic's action
+input. Each caller asks only for what it reads: a net's own update skips the
+layer-0 input-gradient product, and the actor's pass through a critic skips
+the critic's parameter gradients.
 
 Each network keeps all of its parameters in one contiguous float64 vector
 ``flat`` (``w0, b0, w1, b1, ...``, weights row-major); ``weights[i]`` and
@@ -16,9 +17,11 @@ same layout that is allocated on the first ``backward`` (inference-only nets
 never pay for it). So an optimizer step, a soft update or a finite check is
 one array op per network.
 
-``Adam.step`` allocates nothing: it updates its moments and the parameters in
-place through two scratch buffers it owns, in the same op order as the
-textbook expression, so every bit of the result is unchanged.
+An optimizer is built over the parameter arrays it updates and keeps them;
+``step(grads)`` takes ``grads[i]`` for ``params[i]``. ``Adam.step`` allocates
+nothing: it updates its moments and the parameters in place through two
+scratch buffers it owns, in the same op order as the textbook expression, so
+every bit of the result is unchanged.
 """
 
 from __future__ import annotations
@@ -85,13 +88,12 @@ class Mlp:
                  params: bool = True, inputs: bool = True):
         """Gradients of sum(grad_out * output) w.r.t. params and input.
 
-        Returns ``(param_grads, grad_x)``. ``params=False`` leaves ``grad``
-        untouched and returns ``None`` for ``param_grads``; ``inputs=False``
-        skips the layer-0 input-gradient product and returns ``None`` for
-        ``grad_x``. What is computed has the bits of the full pass.
+        Writes the parameter gradients into ``grad`` and returns the input
+        gradient. ``params=False`` leaves ``grad`` untouched; ``inputs=False``
+        skips the layer-0 input-gradient product and returns ``None``. What is
+        computed has the bits of the full pass.
         """
         grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        n = len(self.weights)
         if self.out_activation == "tanh":
             delta = grad_out * (1.0 - activations[-1] ** 2)
         else:
@@ -100,32 +102,17 @@ class Mlp:
             self.grad = np.empty_like(self.flat)
             self._grad_views = _views(self.grad, self.sizes)
         w_grads, b_grads = self._grad_views if params else (None, None)
-        for li in range(n - 1, -1, -1):
+        for li in range(len(self.weights) - 1, -1, -1):
             if params:
                 np.matmul(activations[li].T, delta, out=w_grads[li])
                 delta.sum(axis=0, out=b_grads[li])
             if li == 0 and not inputs:
-                delta = None
-                break
+                return None
             delta = delta @ self.weights[li].T
             if li > 0:
                 # delta is fresh from the matmul: mask it in place.
                 delta *= activations[li] > 0.0
-        if not params:
-            return None, delta
-        param_grads = []
-        for wg, bg in zip(w_grads, b_grads):
-            param_grads.append(wg)
-            param_grads.append(bg)
-        return param_grads, delta
-
-    def get_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if np.size(flat) != self.flat.size:
-            raise ValueError("flat vector size mismatch")
-        self.flat[...] = flat
+        return delta
 
     def copy(self) -> "Mlp":
         other = Mlp(self.sizes, self.out_activation, np.random.default_rng(0))
@@ -134,10 +121,11 @@ class Mlp:
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -148,18 +136,19 @@ class Adam:
         self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
                          for p in params]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One in-place step; the grads are read, never written.
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One in-place step of every parameter; the grads are read, never
+        written.
 
         Same ops in the same order as the textbook form, so the same bits:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
         ``p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps)``.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         b1t = 1.0 - b1 ** self.t
         b2t = 1.0 - b2 ** self.t
-        for p, g, m, v, (s, u) in zip(params, grads, self.m, self.v,
+        for p, g, m, v, (s, u) in zip(self.params, grads, self.m, self.v,
                                       self._scratch):
             m *= b1
             np.multiply(g, 1.0 - b1, out=s)
@@ -172,17 +161,18 @@ class Adam:
             s *= self.lr
             np.divide(v, b2t, out=u)
             np.sqrt(u, out=u)
-            u += self.eps
+            u += self.EPS
             s /= u
             p -= s
 
 
 class Sgd:
     def __init__(self, params: list[np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
+    def step(self, grads: list[np.ndarray]) -> None:
+        for p, g in zip(self.params, grads):
             p -= self.lr * g
 
 

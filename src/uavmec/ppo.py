@@ -63,9 +63,7 @@ class PpoAgent:
         cfg = self.cfg
         b = s.shape[0]
         mu, cache = self.mean_net.forward_cache(s)
-        std = np.exp(self.log_std)
-        z = (a_raw - mu) / std
-        logp = (-0.5 * z ** 2 - self.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
+        logp = self._log_prob(a_raw, mu)
         # Exponent clamp keeps far-off-policy samples from overflowing.
         ratio = np.exp(np.clip(logp - logp_old, -20.0, 20.0))
         unclipped = ratio * adv
@@ -75,11 +73,12 @@ class PpoAgent:
         active = ~((adv >= 0) & (ratio > 1 + cfg.clip_ratio)
                    | (adv < 0) & (ratio < 1 - cfg.clip_ratio))
         dlogp = np.where(active, -(adv * ratio) / b, 0.0)
+        std = np.exp(self.log_std)
+        z = (a_raw - mu) / std
         dmu = dlogp[:, None] * (z / std)          # dlogp/dmu = (a-mu)/std^2
         dlogstd = (dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
         self.mean_net.backward(cache, dmu, inputs=False)
-        self.policy_opt.step([self.mean_net.flat, self.log_std],
-                             [self.mean_net.grad, dlogstd])
+        self.policy_opt.step([self.mean_net.grad, dlogstd])
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
         return loss
 
@@ -88,7 +87,7 @@ class PpoAgent:
         v, cache = self.value_net.forward_cache(s)
         err = v[:, 0] - returns
         self.value_net.backward(cache, (2.0 / b) * err[:, None], inputs=False)
-        self.value_opt.step([self.value_net.flat], [self.value_net.grad])
+        self.value_opt.step([self.value_net.grad])
         return float(np.mean(err ** 2))
 
 

@@ -1,9 +1,9 @@
-"""Twin-delayed deterministic policy gradient training, plus the DDPG
-variant (single critic, no target smoothing, every-step actor updates)."""
+"""Twin-delayed deterministic policy gradient training. DDPG is its special
+case: one critic, no target smoothing, an actor update every step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,14 +32,11 @@ class TrainLog:
 
 class Td3Agent:
     def __init__(self, state_dim: int, action_dim: int, cfg: Td3Config,
-                 rng: np.random.Generator, n_critics: int = 2,
-                 target_smoothing: bool = True):
+                 rng: np.random.Generator, n_critics: int = 2):
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
         self.action_dim = action_dim
-        self.n_critics = n_critics
-        self.target_smoothing = target_smoothing
         hidden = list(cfg.hidden)
         self.actor = Mlp([state_dim] + hidden + [action_dim], "tanh", rng)
         self.actor_target = self.actor.copy()
@@ -48,8 +45,9 @@ class Td3Agent:
         self.critic_targets = [c.copy() for c in self.critics]
         self.actor_opt = make_optimizer(cfg.optimizer, [self.actor.flat],
                                         cfg.actor_lr)
-        self.critic_opts = [make_optimizer(cfg.optimizer, [c.flat], cfg.critic_lr)
-                            for c in self.critics]
+        self.critic_opt = make_optimizer(cfg.optimizer,
+                                         [c.flat for c in self.critics],
+                                         cfg.critic_lr)
         self.critic_update_count = 0
         self.actor_update_count = 0
 
@@ -64,7 +62,7 @@ class Td3Agent:
     def smoothed_target_action(self, s_next: np.ndarray) -> np.ndarray:
         """Target-actor action plus clipped Gaussian smoothing noise."""
         a = self.actor_target.forward(s_next)
-        if self.target_smoothing and self.cfg.target_noise_sigma > 0:
+        if self.cfg.target_noise_sigma > 0:
             noise = self.rng.normal(0.0, self.cfg.target_noise_sigma, size=a.shape)
             noise = np.clip(noise, -self.cfg.target_noise_clip,
                             self.cfg.target_noise_clip)
@@ -75,10 +73,9 @@ class Td3Agent:
                    done: np.ndarray) -> np.ndarray:
         a_bar = self.smoothed_target_action(s_next)
         x = np.concatenate([s_next, a_bar], axis=1)
-        q1 = self.critic_targets[0].forward(x)[:, 0]
-        q2 = (self.critic_targets[1].forward(x)[:, 0]
-              if self.n_critics > 1 else q1)
-        return td_target(r, q1, q2, done, self.cfg.gamma)
+        qs = [c.forward(x)[:, 0] for c in self.critic_targets]
+        # One critic is its own twin: min(q, q) = q.
+        return td_target(r, qs[0], qs[-1], done, self.cfg.gamma)
 
     def critic_update(self, s: np.ndarray, a: np.ndarray,
                       y: np.ndarray) -> list[float]:
@@ -86,13 +83,13 @@ class Td3Agent:
         x = np.concatenate([s, a], axis=1)
         losses = []
         batch = x.shape[0]
-        for critic, opt in zip(self.critics, self.critic_opts):
+        for critic in self.critics:
             q, cache = critic.forward_cache(x)
             err = q[:, 0] - y
             losses.append(float(np.mean(err ** 2)))
             grad_out = (2.0 / batch) * err[:, None]
             critic.backward(cache, grad_out, inputs=False)
-            opt.step([critic.flat], [critic.grad])
+        self.critic_opt.step([c.grad for c in self.critics])
         self.critic_update_count += 1
         return losses
 
@@ -105,13 +102,12 @@ class Td3Agent:
         grad_out = np.full((batch, 1), 1.0 / batch)
         # The critic's parameter gradients would go unread (the next
         # critic_update overwrites them): only the action gradient is needed.
-        _, grad_x = self.critics[0].backward(critic_cache, grad_out,
-                                             params=False)
+        grad_x = self.critics[0].backward(critic_cache, grad_out, params=False)
         grad_a = grad_x[:, s.shape[1]:]
         self.actor.backward(actor_cache, grad_a, inputs=False)
         # Gradient ascent: feed negated gradients to the descent optimizer.
         np.negative(self.actor.grad, out=self.actor.grad)
-        self.actor_opt.step([self.actor.flat], [self.actor.grad])
+        self.actor_opt.step([self.actor.grad])
         self.actor_update_count += 1
         return float(np.mean(q))
 
@@ -126,12 +122,10 @@ class Td3Agent:
             raise DivergenceError(f"non-finite parameters at step {step}")
 
 
-def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int,
-           target_smoothing: bool, policy_delay: int):
+def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int):
     env = env_factory(seed)
     rng = np.random.default_rng([seed, 0x7D3])
-    agent = Td3Agent(env.state_dim, env.action_dim, cfg, rng,
-                     n_critics=n_critics, target_smoothing=target_smoothing)
+    agent = Td3Agent(env.state_dim, env.action_dim, cfg, rng, n_critics)
     buf = ReplayBuffer(cfg.buffer_capacity, env.state_dim, env.action_dim,
                        np.random.default_rng([seed, 0xB0F]))
     log = TrainLog()
@@ -157,7 +151,7 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int,
                 y = agent.td_targets(br, bs2, bd)
                 losses = agent.critic_update(bs, ba, y)
                 log.critic_losses.append(losses[0])
-                if agent.critic_update_count % policy_delay == 0:
+                if agent.critic_update_count % cfg.policy_delay == 0:
                     log.actor_objectives.append(agent.actor_update(bs))
                     agent.sync_targets()
                 agent.check_finite(step)
@@ -168,14 +162,15 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int,
 
 def td3_train(env_factory, cfg: Td3Config, seed: int):
     """Full twin-critic training with smoothing and delayed actor updates."""
-    return _train(env_factory, cfg, seed, n_critics=2, target_smoothing=True,
-                  policy_delay=cfg.policy_delay)
+    return _train(env_factory, cfg, seed, n_critics=2)
 
 
 def ddpg_train(env_factory, cfg: Td3Config, seed: int):
-    """Single critic, no target smoothing, actor updated every step."""
-    return _train(env_factory, cfg, seed, n_critics=1, target_smoothing=False,
-                  policy_delay=1)
+    """TD3 with one critic, no target smoothing and an actor update every
+    step; ``cfg`` itself is left as it is."""
+    return _train(env_factory,
+                  replace(cfg, policy_delay=1, target_noise_sigma=0.0), seed,
+                  n_critics=1)
 
 
 CHECKPOINT_VERSION = 1

@@ -314,21 +314,21 @@ class TestGradientCheck:
             coef = rng.standard_normal((batch, sizes[-1]))
 
             y, cache = net.forward_cache(x)
-            grads, _ = net.backward(cache, coef)
-            analytic = np.concatenate([g.ravel() for g in grads])
+            net.backward(cache, coef)
+            analytic = net.grad
 
-            flat = net.get_flat()
+            flat = net.flat.copy()
             fd = np.empty_like(flat)
             for i in range(flat.size):
                 bumped = flat.copy()
                 bumped[i] += h
-                net.set_flat(bumped)
+                net.flat[...] = bumped
                 up = float(np.sum(net.forward(x) * coef))
                 bumped[i] -= 2 * h
-                net.set_flat(bumped)
+                net.flat[...] = bumped
                 dn = float(np.sum(net.forward(x) * coef))
                 fd[i] = (up - dn) / (2 * h)
-            net.set_flat(flat)
+            net.flat[...] = flat
             err = np.abs(analytic - fd) / np.maximum(
                 np.abs(analytic) + np.abs(fd), 1e-6)
             worst = max(worst, float(err.max()))
@@ -371,9 +371,9 @@ class TestTd3Mechanics:
         tgt = Mlp([3, 4, 2], "identity", rng)
         for w in src.weights + src.biases:
             w[...] = 0.0
-        before = tgt.get_flat().copy()
+        before = tgt.flat.copy()
         soft_update(tgt, src, 0.05)
-        if not np.array_equal(tgt.get_flat(), 0.95 * before):
+        if not np.array_equal(tgt.flat, 0.95 * before):
             ok = False; detail.append("soft-update factor != 0.95")
 
         # delayed actor updates: one actor step per policy_delay critic steps

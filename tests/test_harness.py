@@ -236,6 +236,28 @@ class TestCli:
         assert json.loads(err[len("ERROR "):])["error"] == "seed must be nonnegative, got -1"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("misfit", ["state", "action"])
+    def test_trajectory_checkpoint_misfit_reports_error_json(self, out_root, tmp_path,
+                                                             capsys, misfit):
+        # Before the check these died at the first step with "input width
+        # 101 != 5" or "action vector must have length 27", naming no file.
+        cfg = tiny_experiment(seeds=(0,))
+        path = self._write_cfg(tmp_path, cfg)
+        env = OffloadEnv(cfg.sim, 0)
+        sizes = ([5, 8, env.action_dim] if misfit == "state"
+                 else [env.state_dim, 8, 3])
+        ckpt = str(tmp_path / "actor.npz")
+        save_actor(ckpt, Mlp(sizes, "tanh", np.random.default_rng(0)))
+        out = str(tmp_path / "traj.csv")
+        assert cli.main(["trajectory", ckpt, path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        message = json.loads(err[len("ERROR "):])["error"]
+        assert message == (f"checkpoint {ckpt} maps {sizes[0]} state inputs to "
+                           f"{sizes[-1]} actions, but the config has {env.state_dim} "
+                           f"state inputs and {env.action_dim} actions")
+        assert not os.path.exists(out)
+
     def test_baseline_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(
             tmp_path, tiny_experiment(algorithms=("greedy",), seeds=(0,)))
@@ -338,6 +360,9 @@ class TestConfigErrors:
         ("chan_d2d", "beta0", 0.0),
         ("chan_uav", "chi", 1.5),
         ("econ", "p_uav_min", 3.0),
+        ("econ", "energy_price", -1.0),
+        ("econ", "beta_busy", -1.0),
+        ("econ", "beta_idle", -2.0),
         ("world", "h_max", 50.0),
         ("world", "h_min", -50.0),    # UAVs sent down would fly below the UDs
         ("world", "h_min", 0.0),

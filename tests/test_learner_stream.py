@@ -49,7 +49,7 @@ def _td3_case(train, **kw):
         log, agent = train(_env_factory, _td3_cfg(**kw), seed)
         nets = ([agent.actor, agent.actor_target] + agent.critics
                 + agent.critic_targets)
-        return log, [n.get_flat() for n in nets]
+        return log, [n.flat.copy() for n in nets]
     return run
 
 
@@ -57,7 +57,7 @@ def _run_ppo(seed):
     cfg = PpoConfig(episodes=4, rollout_episodes=2, epochs=3,
                     minibatch_size=16, hidden=(64, 48))
     log, agent = ppo_train(_env_factory, cfg, seed)
-    return log, [agent.mean_net.get_flat(), agent.value_net.get_flat(),
+    return log, [agent.mean_net.flat.copy(), agent.value_net.flat.copy(),
                  agent.log_std.copy()]
 
 

@@ -7,29 +7,34 @@ from uavmec.nets import Adam, Mlp, Sgd, all_finite, make_optimizer, soft_update
 
 
 def finite_diff_grads(net, x, loss_fn, h=1e-5):
-    flat = net.get_flat()
+    flat = net.flat.copy()
     grads = np.zeros_like(flat)
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] += h
-        net.set_flat(bumped)
+        net.flat[...] = bumped
         up = loss_fn(net.forward(x))
         bumped[i] -= 2 * h
-        net.set_flat(bumped)
+        net.flat[...] = bumped
         down = loss_fn(net.forward(x))
         grads[i] = (up - down) / (2 * h)
-    net.set_flat(flat)
+    net.flat[...] = flat
     return grads
 
 
-def flatten(grads):
-    return np.concatenate([g.ravel() for g in grads])
+def per_layer(net, buf):
+    """Views of a buffer in the flat layout, one per w0, b0, w1, b1, ..."""
+    views, i = [], 0
+    for p in (p for wb in zip(net.weights, net.biases) for p in wb):
+        views.append(buf[i:i + p.size].reshape(p.shape))
+        i += p.size
+    return views
 
 
 class TestForward:
     def test_zero_net_gives_zero(self):
         net = Mlp([3, 4, 2], "identity", np.random.default_rng(0))
-        net.set_flat(np.zeros(net.get_flat().size))
+        net.flat[...] = 0.0
         assert np.all(net.forward(np.ones(3)) == 0.0)
 
     def test_identity_single_layer(self):
@@ -63,16 +68,17 @@ class TestBackward:
     def test_constant_loss_zero_gradient(self):
         net = Mlp([2, 3, 1], "identity", np.random.default_rng(0))
         _, cache = net.forward_cache(np.ones((4, 2)))
-        grads, _ = net.backward(cache, np.zeros((4, 1)))
-        assert all(np.all(g == 0) for g in grads)
+        net.backward(cache, np.zeros((4, 1)))
+        assert np.all(net.grad == 0)
 
     def test_linear_net_gradient_is_input(self):
         net = Mlp([3, 1], "identity", np.random.default_rng(0))
         x = np.array([[1.0, 2.0, 3.0]])
         _, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, np.ones((1, 1)))
-        assert np.allclose(grads[0][:, 0], x[0])
-        assert np.allclose(grads[1], 1.0)
+        net.backward(cache, np.ones((1, 1)))
+        # Layout w0 (3x1), b0 (1).
+        assert np.allclose(net.grad[:3], x[0])
+        assert np.allclose(net.grad[3], 1.0)
 
     @pytest.mark.parametrize("out_act", ["identity", "tanh"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -86,7 +92,8 @@ class TestBackward:
             return float(np.sum(y * g_out))
 
         _, cache = net.forward_cache(x)
-        analytic = flatten(net.backward(cache, g_out)[0])
+        net.backward(cache, g_out)
+        analytic = net.grad.copy()
         numeric = finite_diff_grads(net, x, loss)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -97,7 +104,7 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         g_out = rng.normal(size=(1, 2))
         _, cache = net.forward_cache(x)
-        _, grad_x = net.backward(cache, g_out)
+        grad_x = net.backward(cache, g_out)
         h = 1e-6
         for i in range(3):
             xp = x.copy(); xp[0, i] += h
@@ -113,14 +120,11 @@ class TestBackward:
         x = rng.normal(size=(9, 4))
         g_out = rng.normal(size=(9, 3))
         _, cache = net.forward_cache(x)
-        full_grads, _ = net.backward(cache, g_out)
-        full_grads = [g.copy() for g in full_grads]
+        net.backward(cache, g_out)
         full_flat = net.grad.copy()
         net.grad[...] = np.nan
-        grads, grad_x = net.backward(cache, g_out, inputs=False)
-        assert grad_x is None
+        assert net.backward(cache, g_out, inputs=False) is None
         assert net.grad.tobytes() == full_flat.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, full_grads))
 
     @pytest.mark.parametrize("out_act", ["identity", "tanh"])
     def test_params_false_gives_full_input_grad_and_leaves_grad(self, out_act):
@@ -129,11 +133,10 @@ class TestBackward:
         x = rng.normal(size=(9, 4))
         g_out = rng.normal(size=(9, 3))
         _, cache = net.forward_cache(x)
-        _, full_x = net.backward(cache, g_out)
+        full_x = net.backward(cache, g_out)
         sentinel = rng.normal(size=net.flat.size)
         net.grad[...] = sentinel
-        grads, grad_x = net.backward(cache, g_out, params=False)
-        assert grads is None
+        grad_x = net.backward(cache, g_out, params=False)
         assert grad_x.tobytes() == full_x.tobytes()
         assert net.grad.tobytes() == sentinel.tobytes()
 
@@ -150,45 +153,45 @@ class TestSoftUpdate:
         online = Mlp([2, 3, 1], "identity", rng)
         target = Mlp([2, 3, 1], "identity", rng)
         soft_update(target, online, 1.0)
-        assert np.allclose(target.get_flat(), online.get_flat())
+        assert np.allclose(target.flat, online.flat)
 
     def test_convex_combination(self):
         online = Mlp([1, 1], "identity", np.random.default_rng(0))
         target = Mlp([1, 1], "identity", np.random.default_rng(1))
-        online.set_flat(np.ones(2))
-        target.set_flat(np.zeros(2))
+        online.flat[...] = 1.0
+        target.flat[...] = 0.0
         soft_update(target, online, 0.05)
-        assert np.allclose(target.get_flat(), 0.05)
+        assert np.allclose(target.flat, 0.05)
 
     def test_tau_zero_no_change(self):
         rng = np.random.default_rng(0)
         online = Mlp([2, 2], "identity", rng)
         target = Mlp([2, 2], "identity", rng)
-        before = target.get_flat()
+        before = target.flat.copy()
         soft_update(target, online, 0.0)
-        assert np.array_equal(target.get_flat(), before)
+        assert np.array_equal(target.flat, before)
 
     def test_contraction_factor(self):
         rng = np.random.default_rng(4)
         online = Mlp([3, 4, 2], "tanh", rng)
         target = Mlp([3, 4, 2], "tanh", rng)
-        gap_before = np.abs(target.get_flat() - online.get_flat())
+        gap_before = np.abs(target.flat - online.flat)
         soft_update(target, online, 0.05)
-        gap_after = np.abs(target.get_flat() - online.get_flat())
+        gap_after = np.abs(target.flat - online.flat)
         assert np.allclose(gap_after, 0.95 * gap_before)
 
 
 class TestOptimizers:
     def test_sgd_step(self):
         p = [np.array([1.0, 2.0])]
-        Sgd(p, 0.1).step(p, [np.array([1.0, -1.0])])
+        Sgd(p, 0.1).step([np.array([1.0, -1.0])])
         assert np.allclose(p[0], [0.9, 2.1])
 
     def test_adam_converges_on_quadratic(self):
         p = [np.array([5.0])]
         opt = Adam(p, 0.1)
         for _ in range(500):
-            opt.step(p, [2 * p[0]])
+            opt.step([2 * p[0]])
         assert abs(p[0][0]) < 1e-3
 
     def test_make_optimizer_rejects_unknown(self):
@@ -196,7 +199,7 @@ class TestOptimizers:
             make_optimizer("rmsprop", [], 0.1)
 
     def test_make_optimizer_accepts_no_params(self):
-        make_optimizer("adam", [], 0.1).step([], [])
+        make_optimizer("adam", [], 0.1).step([])
 
     def test_adam_is_bitwise_textbook_and_leaves_grads(self):
         # Two parameters of different sizes, as PPO's [mean_net.flat, log_std].
@@ -206,14 +209,14 @@ class TestOptimizers:
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
         lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr, b1, b2, eps)
+        opt = Adam(params, lr)
         for t in range(1, 26):
             # Magnitudes from 1e-12 to 1e6, signs mixed, some exact zeros.
             grads = [rng.normal(size=p.shape) * 10.0 ** rng.uniform(-12, 6, p.shape)
                      for p in params]
             grads[0][0, t % 5] = 0.0
             before = [g.copy() for g in grads]
-            opt.step(params, grads)
+            opt.step(grads)
             b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
             for i, g in enumerate(before):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
@@ -231,10 +234,10 @@ class TestOptimizers:
         p = [rng.normal(size=n)]
         g = [rng.normal(size=n)]
         opt = Adam(p, 1e-3)
-        opt.step(p, g)
+        opt.step(g)
         tracemalloc.start()
         try:
-            opt.step(p, g)
+            opt.step(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,13 +260,13 @@ class TestFlatLayout:
         _assert_views_of_flat(net)
         assert net.flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
 
-    def test_views_after_copy_and_set_flat(self):
+    def test_views_after_copy_and_flat_write(self):
         net = Mlp([3, 5, 2], "identity", np.random.default_rng(0))
         other = net.copy()
         _assert_views_of_flat(other)
         assert not np.shares_memory(other.flat, net.flat)
         assert np.array_equal(other.flat, net.flat)
-        net.set_flat(np.arange(net.flat.size, dtype=float))
+        net.flat[...] = np.arange(net.flat.size, dtype=float)
         _assert_views_of_flat(net)
         assert net.biases[-1][0] == 3 * 5 + 5 + 5 * 2
 
@@ -272,19 +275,6 @@ class TestFlatLayout:
         path = str(tmp_path / "actor.npz")
         save_actor(path, Mlp([4, 6, 2], "tanh", np.random.default_rng(1)))
         _assert_views_of_flat(load_actor(path))
-
-    def test_set_flat_rejects_wrong_size(self):
-        net = Mlp([2, 2], "identity", np.random.default_rng(0))
-        before = net.get_flat()
-        with pytest.raises(ValueError, match="size"):
-            net.set_flat(np.zeros(before.size + 1))
-        assert np.array_equal(net.flat, before)
-
-    def test_get_flat_is_a_copy(self):
-        net = Mlp([2, 2], "identity", np.random.default_rng(0))
-        flat = net.get_flat()
-        flat[0] = 99.0
-        assert net.weights[0][0, 0] != 99.0
 
     def test_layer_item_assignment_raises(self):
         net = Mlp([2, 3, 1], "identity", np.random.default_rng(0))
@@ -297,11 +287,13 @@ class TestFlatLayout:
         net = Mlp([3, 4, 2], "identity", np.random.default_rng(0))
         assert net.grad is None
         _, cache = net.forward_cache(np.ones((5, 3)))
-        grads, _ = net.backward(cache, np.ones((5, 2)))
-        assert net.grad.shape == net.flat.shape
-        assert all(np.shares_memory(net.grad, g) for g in grads)
-        assert np.array_equal(np.concatenate([g.ravel() for g in grads]),
-                              net.grad)
+        net.backward(cache, np.ones((5, 2)))
+        grad = net.grad
+        assert grad.shape == net.flat.shape
+        # Later passes write into the same buffer.
+        net.backward(cache, np.zeros((5, 2)))
+        assert net.grad is grad
+        assert np.all(grad == 0.0)
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -312,8 +304,7 @@ class TestFlatLayout:
         rng = np.random.default_rng(7)
         flat_net = Mlp([4, 8, 3], "tanh", rng)
         layer_net = flat_net.copy()
-        layer_params = [p for wb in zip(layer_net.weights, layer_net.biases)
-                        for p in wb]
+        layer_params = per_layer(layer_net, layer_net.flat)
         flat_opt = opt_cls([flat_net.flat], 0.01)
         layer_opt = opt_cls(layer_params, 0.01)
         for _ in range(5):
@@ -322,9 +313,9 @@ class TestFlatLayout:
             _, cache = flat_net.forward_cache(x)
             flat_net.backward(cache, g_out)
             _, cache = layer_net.forward_cache(x)
-            layer_grads, _ = layer_net.backward(cache, g_out)
-            flat_opt.step([flat_net.flat], [flat_net.grad])
-            layer_opt.step(layer_params, layer_grads)
+            layer_net.backward(cache, g_out)
+            flat_opt.step([flat_net.grad])
+            layer_opt.step(per_layer(layer_net, layer_net.grad))
             assert np.array_equal(flat_net.flat, layer_net.flat)
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import BanditEnv, small_sim
 from uavmec.config import PpoConfig
 from uavmec.env import OffloadEnv
-from uavmec.ppo import PpoAgent, gae, ppo_train
+from uavmec.ppo import LOG_STD_MAX, PpoAgent, gae, ppo_train
 
 
 class TestGae:
@@ -54,6 +54,19 @@ class TestAgent:
         logp = agent._log_prob(a, mu)[0]
         expected = -0.5 * 0.3 ** 2 - 0.5 * np.log(2 * np.pi)
         assert logp == pytest.approx(expected)
+
+    def test_log_std_clip_writes_the_optimized_array(self):
+        # The policy optimizer holds log_std, so the clip must write into
+        # that array, never rebind it.
+        agent = PpoAgent(2, 1, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+        held = agent.log_std
+        held[...] = LOG_STD_MAX + 3.0
+        s, a = np.zeros((4, 2)), np.zeros((4, 1))
+        agent._policy_step(s, a, agent._log_prob(a, agent.mean_net.forward(s)),
+                           np.ones(4))
+        assert agent.log_std is held
+        assert agent.policy_opt.params[1] is held
+        assert held[0] == LOG_STD_MAX
 
 
 class TestTraining:

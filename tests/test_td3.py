@@ -133,9 +133,12 @@ class TestTraining:
     def test_ddpg_variant_shapes(self):
         cfg = tiny_cfg(episodes=3)
         log, agent = ddpg_train(lambda s: OffloadEnv(small_sim(n_slots=5), s), cfg, 1)
-        assert agent.n_critics == 1
-        assert not agent.target_smoothing
+        assert len(agent.critics) == 1
+        assert agent.cfg.policy_delay == 1
+        assert agent.cfg.target_noise_sigma == 0.0
         assert len(log.episode_returns) == 3
+        # DDPG runs on a copy; the caller's config keeps its TD3 values.
+        assert (cfg.policy_delay, cfg.target_noise_sigma) == (2, 0.2)
 
     def test_ddpg_bandit_learns_optimum(self):
         cfg = tiny_cfg(episodes=600, batch_size=32, warmup_steps=100,
