@@ -9,7 +9,8 @@ Subcommands:
 
 Output root defaults to the config's output_dir and may be overridden with
 the UAVMEC_OUTPUT_ROOT environment variable. Exit code 0 on success; on
-failure a machine-readable ``ERROR {json}`` line goes to stderr.
+failure (a bad config or file, or a training cell whose learner diverged) a
+machine-readable ``ERROR {json}`` line goes to stderr and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import harness
 from .baseline import greedy_baseline
 from .config import SWEEP_AXES, ConfigError, load_experiment
 from .env import action_length, state_length
-from .td3 import load_actor
+from .td3 import DivergenceError, load_actor
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
             for seed in cfg.seeds:
                 ret = greedy_baseline(cfg.sim, seed)
                 print(f"seed={seed} return={float(ret)!r}")
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, DivergenceError, OSError, ValueError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     return 0

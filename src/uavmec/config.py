@@ -44,7 +44,9 @@ _NON_EMPTY = Domain("must be a non-empty list", lambda v: len(v) > 0)
 
 Positive = Annotated[float, _POSITIVE]
 NonNegative = Annotated[float, _NONNEGATIVE]
-Count = Annotated[int, _POSITIVE]
+# Far above any machine-sized world: a larger count would otherwise fail
+# deep in numpy, naming no field.
+Count = Annotated[int, _POSITIVE, Domain("must be at most 10**9", lambda v: v <= 10**9)]
 Fraction = Annotated[float, Domain("must lie in (0, 1)", lambda v: 0 < v < 1)]
 
 

@@ -182,15 +182,22 @@ def episode_return(rewards) -> float:
     return float(sum(rewards))
 
 
-def rollout(env: OffloadEnv, policy) -> list[LedgerEntry]:
-    """Step env from its current state until it is done, taking
-    ``policy(state)`` as each raw action; the ledger entry of every step."""
+def transitions(env: OffloadEnv, policy):
+    """The one step loop: step env from its current state until it is done,
+    taking ``policy(s)`` as each action, and yield ``(s, a, entry, s_next)``
+    per step. The consumer's body for a step runs before the next
+    ``policy`` call, so a learner updates between step t and action t + 1."""
     s = env.state()
-    entries = []
     while not env.done:
-        s, _, entry, _ = env.step(policy(s))
-        entries.append(entry)
-    return entries
+        a = policy(s)
+        s_next, _, entry, _ = env.step(a)
+        yield s, a, entry, s_next
+        s = s_next
+
+
+def rollout(env: OffloadEnv, policy) -> list[LedgerEntry]:
+    """The ledger entry of every step of :func:`transitions`."""
+    return [entry for _, _, entry, _ in transitions(env, policy)]
 
 
 class OffloadEnv:

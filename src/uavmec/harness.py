@@ -16,7 +16,7 @@ from .config import ExperimentConfig, SimConfig, apply_axis
 from .env import LedgerEntry, OffloadEnv, rollout
 from .nets import Mlp
 from .ppo import ppo_train
-from .td3 import ddpg_train, save_actor, td3_train
+from .td3 import DivergenceError, ddpg_train, save_actor, td3_train
 
 
 @dataclass
@@ -60,18 +60,22 @@ def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
 
 
 def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
-    """Returns (per-episode returns, trained actor or None)."""
+    """Returns (per-episode returns, trained actor or None). A learner that
+    diverges raises DivergenceError naming the algorithm and the seed."""
     def factory(s):
         return OffloadEnv(sim, s)
-    if algo == "td3":
-        log, agent = td3_train(factory, cfg.td3, seed)
-        return log.episode_returns, agent.actor
-    if algo == "ddpg":
-        log, agent = ddpg_train(factory, cfg.td3, seed)
-        return log.episode_returns, agent.actor
-    if algo == "ppo":
-        log, agent = ppo_train(factory, cfg.ppo, seed)
-        return log.episode_returns, agent.mean_net
+    try:
+        if algo == "td3":
+            log, agent = td3_train(factory, cfg.td3, seed)
+            return log.episode_returns, agent.actor
+        if algo == "ddpg":
+            log, agent = ddpg_train(factory, cfg.td3, seed)
+            return log.episode_returns, agent.actor
+        if algo == "ppo":
+            log, agent = ppo_train(factory, cfg.ppo, seed)
+            return log.episode_returns, agent.mean_net
+    except DivergenceError as exc:
+        raise DivergenceError(f"{algo} seed {seed}: {exc}") from exc
     if algo == "greedy":
         return [greedy_baseline(sim, seed)], None
     raise ValueError(f"unknown algorithm '{algo}'")
@@ -115,7 +119,10 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
         sim = apply_axis(cfg.sim, axis, value)
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
-                returns, _ = _train_one(algo, sim, cfg, seed)
+                try:
+                    returns, _ = _train_one(algo, sim, cfg, seed)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"{axis}={value!r}: {exc}") from exc
                 detail_rows.append((value, algo, seed, converged_return(returns)))
     detail = os.path.join(run_dir, f"sweep_{axis}_detail.csv")
     _write_csv(detail, (axis, "algorithm", "seed", "converged_return"), detail_rows)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PpoConfig
+from .env import episode_return, rollout
 from .nets import Adam, Mlp, all_finite
 from .td3 import DivergenceError, TrainLog
 
@@ -111,30 +112,26 @@ def ppo_train(env_factory, cfg: PpoConfig, seed: int):
     rng = np.random.default_rng([seed, 0x9970])
     agent = PpoAgent(env.state_dim, env.action_dim, cfg, rng)
     log = TrainLog()
+
+    def policy(s):   # records what the update reads, in the lists of this batch
+        a_env, a_raw, logp = agent.sample_action(s)
+        values.append(float(agent.value(s[None, :])[0]))
+        states.append(s)
+        actions.append(a_raw)
+        logps.append(logp)
+        return a_env
+
     episodes_done = 0
     while episodes_done < cfg.episodes:
         batch_eps = min(cfg.rollout_episodes, cfg.episodes - episodes_done)
         states, actions, logps, rewards, dones, values = [], [], [], [], [], []
         for _ in range(batch_eps):
-            s = env.reset()
-            done = False
-            ep_return = 0.0
-            ep_penalty = 0.0
-            while not done:
-                a_env, a_raw, logp = agent.sample_action(s)
-                v = float(agent.value(s[None, :])[0])
-                s_next, r, entry, done = env.step(a_env)
-                states.append(s)
-                actions.append(a_raw)
-                logps.append(logp)
-                rewards.append(r * cfg.reward_scale)
-                dones.append(float(done))
-                values.append(v)
-                ep_return += r
-                ep_penalty += entry.penalty
-                s = s_next
-            log.episode_returns.append(ep_return)
-            log.penalty_totals.append(ep_penalty)
+            env.reset()
+            entries = rollout(env, policy)
+            rewards += [e.reward * cfg.reward_scale for e in entries]
+            dones += [0.0] * (len(entries) - 1) + [1.0]
+            log.episode_returns.append(episode_return(e.reward for e in entries))
+            log.penalty_totals.append(episode_return(e.penalty for e in entries))
         episodes_done += batch_eps
         adv, returns = gae(np.array(rewards), np.array(values),
                            np.array(dones), 0.0, cfg.gamma, cfg.gae_lambda)

@@ -1,5 +1,11 @@
 """Twin-delayed deterministic policy gradient training. DDPG is its special
-case: one critic, no target smoothing, an actor update every step."""
+case: one critic, no target smoothing, an actor update every step.
+
+Training iterates :func:`uavmec.env.transitions`, pushing and learning
+between one step and the next action. A training env provides
+``state_dim``, ``action_dim``, ``reset()``, ``state()``, ``done``, and
+``step(a)`` returning ``(s, r, entry, done)``, whose entry has ``reward``
+and ``penalty``."""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import Td3Config
+from .env import episode_return, transitions
 from .nets import Mlp, all_finite, make_optimizer, soft_update
 from .replay import ReplayBuffer
 
@@ -130,21 +137,18 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int):
                        np.random.default_rng([seed, 0xB0F]))
     log = TrainLog()
     step = 0
+
+    def policy(s):
+        if step < cfg.warmup_steps:
+            return rng.uniform(-1.0, 1.0, size=env.action_dim)
+        return agent.act_noisy(s)
+
     for _ in range(cfg.episodes):
-        s = env.reset()
-        ep_return = 0.0
-        ep_penalty = 0.0
-        done = False
-        while not done:
-            if step < cfg.warmup_steps:
-                a = rng.uniform(-1.0, 1.0, size=env.action_dim)
-            else:
-                a = agent.act_noisy(s)
-            s_next, r, entry, done = env.step(a)
-            ep_return += r
-            ep_penalty += entry.penalty
-            buf.push(s, a, r * cfg.reward_scale, s_next, float(done))
-            s = s_next
+        env.reset()
+        entries = []
+        for s, a, entry, s_next in transitions(env, policy):
+            entries.append(entry)
+            buf.push(s, a, entry.reward * cfg.reward_scale, s_next, float(env.done))
             step += 1
             if step >= cfg.warmup_steps and buf.size >= cfg.batch_size:
                 bs, ba, br, bs2, bd = buf.sample(cfg.batch_size)
@@ -155,8 +159,8 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int):
                     log.actor_objectives.append(agent.actor_update(bs))
                     agent.sync_targets()
                 agent.check_finite(step)
-        log.episode_returns.append(ep_return)
-        log.penalty_totals.append(ep_penalty)
+        log.episode_returns.append(episode_return(e.reward for e in entries))
+        log.penalty_totals.append(episode_return(e.penalty for e in entries))
     return log, agent
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec.config import SimConfig
+from uavmec.env import OffloadEnv
 
 
 def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10) -> SimConfig:
@@ -18,6 +19,31 @@ def sim_cfg() -> SimConfig:
     return small_sim()
 
 
+def left_to_right_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class RecordingEnv(OffloadEnv):
+    """OffloadEnv that keeps the ledger entries it steps, one list per
+    ``reset`` (the constructor's included)."""
+
+    def __init__(self, *args, **kwargs):
+        self.episodes = []
+        super().__init__(*args, **kwargs)
+
+    def reset(self, seed=None):
+        self.episodes.append([])
+        return super().reset(seed)
+
+    def step(self, raw_action):
+        out = super().step(raw_action)
+        self.episodes[-1].append(out[2])
+        return out
+
+
 class BanditEnv:
     """1-step, 1-D environment with reward -(a - optimum)^2."""
 
@@ -30,6 +56,9 @@ class BanditEnv:
 
     def reset(self, seed=None):
         self.done = False
+        return self.state()
+
+    def state(self):
         return np.zeros(1)
 
     def step(self, a):
@@ -37,8 +66,11 @@ class BanditEnv:
             raise RuntimeError("episode finished")
         self.done = True
         r = -float((float(a[0]) - self.optimum) ** 2)
-        return np.zeros(1), r, _FakeEntry(), True
+        return self.state(), r, _FakeEntry(r), True
 
 
 class _FakeEntry:
     penalty = 0.0
+
+    def __init__(self, reward: float):
+        self.reward = reward

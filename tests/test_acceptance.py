@@ -501,6 +501,13 @@ class _VelocityOnlyEnv:
     def reset(self, seed=None):
         return self.env.reset(seed)
 
+    def state(self):
+        return self.env.state()
+
+    @property
+    def done(self):
+        return self.env.done
+
     def step(self, a):
         raw = np.zeros(self.env.action_dim)
         raw[11:11 + self.action_dim] = a

@@ -10,7 +10,7 @@ from conftest import small_sim
 from uavmec.baseline import greedy_action
 from uavmec.config import ConfigError, SimConfig
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
-                        episode_return, rollout, state_length)
+                        episode_return, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
 
 
@@ -424,6 +424,57 @@ class TestRollout:
         assert np.array_equal(seen[0], first)
         assert env.done
         assert rollout(env, policy) == []
+
+
+class TestTransitions:
+    def test_policy_runs_after_the_body_of_the_previous_step(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 2)
+        events = []
+
+        def policy(s):
+            events.append("policy")
+            return np.zeros(env.action_dim)
+
+        for _ in transitions(env, policy):
+            events.append("body")
+        assert events == ["policy", "body"] * sim_cfg.world.n_slots
+
+    def test_each_next_state_is_the_next_yielded_state(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 4)
+        rng = np.random.default_rng(4)
+        first = env.state()
+        steps = list(transitions(env, lambda _: rng.uniform(-1, 1, env.action_dim)))
+        assert len(steps) == sim_cfg.world.n_slots
+        assert np.array_equal(steps[0][0], first)
+        for (_, _, _, s_next), (s, _, _, _) in zip(steps, steps[1:]):
+            assert np.array_equal(s_next, s)
+        assert np.array_equal(steps[-1][3], env.state())
+
+    def test_yields_the_action_taken_and_its_entry(self, sim_cfg):
+        env, twin = OffloadEnv(sim_cfg, 5), OffloadEnv(sim_cfg, 5)
+        rng = np.random.default_rng(5)
+        for s, a, entry, s_next in transitions(
+                env, lambda _: rng.uniform(-1, 1, env.action_dim)):
+            s_twin, _, entry_twin, _ = twin.step(a)
+            assert entry == entry_twin
+            assert np.array_equal(s_next, s_twin)
+
+    def test_rollout_is_the_entries_of_the_stream(self, sim_cfg):
+        rng = np.random.default_rng(7)
+        actions = rng.uniform(-1, 1, (sim_cfg.world.n_slots, action_length(2)))
+        env = OffloadEnv(sim_cfg, 7)
+        streamed = [e for _, _, e, _ in transitions(env, lambda _: actions[env.slot])]
+        env = OffloadEnv(sim_cfg, 7)
+        assert rollout(env, lambda _: actions[env.slot]) == streamed
+
+    def test_finished_env_yields_nothing(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 1)
+        rollout(env, lambda _: np.zeros(env.action_dim))
+
+        def policy(s):
+            raise AssertionError("policy called on a finished episode")
+
+        assert list(transitions(env, policy)) == []
 
 
 class TestEpisodeReturn:

@@ -303,6 +303,40 @@ class TestCli:
         assert err.startswith("ERROR ")
         assert path in json.loads(err[len("ERROR "):])["error"]
 
+    def test_unbounded_count_reports_error_json(self, out_root, tmp_path, capsys):
+        # Before the bound this validated, and numpy's "Maximum allowed
+        # dimension exceeded" named no field.
+        path = str(tmp_path / "big.json")
+        with open(path, "w") as fh:
+            json.dump({"sim": {"world": {"n_busy": 10**30}}}, fh)
+        assert cli.main(["baseline", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert "sim.world.n_busy" in json.loads(err[len("ERROR "):])["error"]
+
+    @pytest.mark.parametrize("command,cell", [
+        (["run"], "td3 seed 0: non-finite parameters"),
+        (["sweep", "--axis", "n_uav"], "n_uav=1: td3 seed 0: non-finite parameters"),
+    ], ids=["run", "sweep"])
+    def test_diverging_cell_reports_error_json(self, out_root, tmp_path, capsys,
+                                               command, cell):
+        # Before, the DivergenceError ended the CLI with a traceback and exit 1.
+        cfg = tiny_experiment(
+            sim=small_sim(n_busy=2, n_idle=1, n_uav=1, n_slots=5),
+            td3=Td3Config(optimizer="sgd", actor_lr=1e100, critic_lr=1e100,
+                          reward_scale=1e100, episodes=3, warmup_steps=5,
+                          batch_size=4, buffer_capacity=100, hidden=(8, 8)),
+            seeds=(0,), sweep_axes={"n_uav": [1]})
+        path = self._write_cfg(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(command[:1] + [path] + command[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert cell in json.loads(err[len("ERROR "):])["error"]
+        # A failed cell writes no curve: neither file holds a partial table.
+        assert not list(out_root.rglob("*.csv"))
+
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2
         assert capsys.readouterr().err.startswith("ERROR ")
@@ -333,6 +367,7 @@ class TestConfigErrors:
         ("td3", "reward_scale", 0.0),
         ("ppo", "reward_scale", -1.0),
         ("", "config_version", 99),          # "" is the experiment itself
+        ("td3", "buffer_capacity", 10**30),
     ])
     def test_learner_range_names_field(self, section, field, value):
         cfg = tiny_experiment()
@@ -366,6 +401,7 @@ class TestConfigErrors:
         ("world", "h_max", 50.0),
         ("world", "h_min", -50.0),    # UAVs sent down would fly below the UDs
         ("world", "h_min", 0.0),
+        ("world", "n_busy", 10**30),
     ])
     def test_sim_range_names_field(self, section, field, value):
         cfg = tiny_experiment()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BanditEnv, small_sim
+from conftest import BanditEnv, RecordingEnv, left_to_right_sum, small_sim
 from uavmec.config import PpoConfig
 from uavmec.env import OffloadEnv
 from uavmec.ppo import LOG_STD_MAX, PpoAgent, gae, ppo_train
@@ -87,3 +87,20 @@ class TestTraining:
         cfg = PpoConfig(episodes=5, rollout_episodes=2, hidden=(8, 8))
         log, _ = ppo_train(lambda s: OffloadEnv(small_sim(n_slots=5), s), cfg, 0)
         assert len(log.episode_returns) == 5
+
+    def test_logs_the_sums_of_the_stepped_entries(self):
+        envs = []
+
+        def factory(seed):
+            envs.append(RecordingEnv(small_sim(n_slots=5), seed))
+            return envs[-1]
+
+        cfg = PpoConfig(episodes=5, rollout_episodes=2, hidden=(8, 8))
+        log, _ = ppo_train(factory, cfg, 0)
+        [env] = envs
+        episodes = env.episodes[1:]     # [0] is the constructor's reset
+        assert [len(ep) for ep in episodes] == [5] * 5
+        assert log.episode_returns == [left_to_right_sum(e.reward for e in ep)
+                                       for ep in episodes]
+        assert log.penalty_totals == [left_to_right_sum(e.penalty for e in ep)
+                                      for ep in episodes]

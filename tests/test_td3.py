@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BanditEnv, small_sim
+from conftest import BanditEnv, RecordingEnv, left_to_right_sum, small_sim
 from uavmec.config import Td3Config
 from uavmec.env import OffloadEnv
 from uavmec.nets import Mlp
@@ -122,6 +122,23 @@ class TestTraining:
         log, _ = td3_train(lambda s: OffloadEnv(small_sim(n_slots=5), s), cfg, 0)
         assert len(log.episode_returns) == 7
         assert len(log.penalty_totals) == 7
+
+    @pytest.mark.parametrize("train", [td3_train, ddpg_train])
+    def test_logs_the_sums_of_the_stepped_entries(self, train):
+        envs = []
+
+        def factory(seed):
+            envs.append(RecordingEnv(small_sim(n_slots=5), seed))
+            return envs[-1]
+
+        log, _ = train(factory, tiny_cfg(episodes=4), 0)
+        [env] = envs
+        episodes = env.episodes[1:]     # [0] is the constructor's reset
+        assert [len(ep) for ep in episodes] == [5] * 4
+        assert log.episode_returns == [left_to_right_sum(e.reward for e in ep)
+                                       for ep in episodes]
+        assert log.penalty_totals == [left_to_right_sum(e.penalty for e in ep)
+                                      for ep in episodes]
 
     def test_bandit_learns_optimum(self):
         cfg = tiny_cfg(episodes=600, batch_size=32, warmup_steps=100,
