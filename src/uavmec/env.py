@@ -19,16 +19,31 @@ Each step evaluates the slot's physics and economics at the current
 positions, assesses constraint penalties, then advances the UAVs, drains
 their batteries, re-associates, and draws the next slot's tasks.
 
+Each quantity is computed when the last thing it depends on is fixed:
+
+- Per episode, at ``reset``: the UD positions, each busy UD's D2D partner
+  (its nearest idle UD), the D2D path loss ``beta0 * d^-chi`` of that
+  static link, and how many busy UDs share each idle UD's compute.
+- Per slot, when the previous step commits (or at ``reset``): the tasks,
+  the fading normals, the UAV association, and the two link rates no
+  action changes, the UAV link's and the D2D link's (the episode's path
+  loss times, under stochastic fading, the slot's scatter gain).
+- Per action: the split, compute levels, prices, weights, bitrate and
+  velocities, and with them every delay, energy, utility and penalty, and
+  the move.
+
 The slot evaluation is one array pass over all busy UDs, for one action or
 for a batch of B actions. In a batch each action's scalars (split, compute
 levels, prices, weights, bitrate) are (B, 1) columns against the per-UD
 axis, and the per-UAV and per-idle-UD totals are one ``np.bincount`` each
-over row-offset indices; one action's scalars are plain floats. The evaluation is a pure
-function of the world, the drawn tasks and the actions: a slot's fading
-normals are drawn together with its tasks, and its link distances, gains and
-rates are fixed right then, so :meth:`OffloadEnv.peek_rewards` scores any
-number of actions without copying the env or drawing from its generator.
-:meth:`OffloadEnv.step` is the same evaluation of one action plus the commit.
+over row-offset indices; one action's scalars are plain floats. The
+evaluation is a pure function of the world, the drawn tasks and the
+actions, so :meth:`OffloadEnv.peek_rewards` scores any number of actions
+without copying the env or drawing from its generator.
+:meth:`OffloadEnv.step` is the same evaluation of one action plus the
+commit. Both raise a ValueError naming the slot (and the row of a batch)
+where a reward is not finite or its evaluation overflows; ``step`` then
+commits nothing.
 """
 
 from __future__ import annotations
@@ -233,11 +248,13 @@ class OffloadEnv:
         # The battery ledger: energy only accrues, so the state's remaining
         # energy and the battery penalty are both read off this sum.
         self._energy_used = np.zeros(self.cfg.world.n_uav)
-        # Static D2D pairing: each busy UD offloads to its nearest idle UD.
+        # Static D2D pairing: each busy UD offloads to its nearest idle UD,
+        # over a link whose path loss is fixed for the episode.
         busy, idle = self.world.busy_pos, self.world.idle_pos
         partner = associate(busy, idle)
         self._d2d_partner = partner
-        self._d2d_distance = np.maximum(channel.link_distance(busy, idle[partner]), 1.0)
+        self._d2d_loss = channel.los_gain_sq(
+            self.cfg.chan_d2d, np.maximum(channel.link_distance(busy, idle[partner]), 1.0))
         # Idle compute is shared evenly among the busy UDs an idle UD serves.
         self._partner_load = np.bincount(partner)[partner]
         self._draw_tasks()
@@ -259,14 +276,13 @@ class OffloadEnv:
                          else self.rng.standard_normal((n_busy, 4)))
         w = self.world
         d_uav = channel.link_distance(w.busy_pos, w.uav_pos[w.assoc])
-        d_d2d = self._d2d_distance
         if cfg.deterministic_fading:
             g_uav = channel.los_gain_sq(cfg.chan_uav, d_uav)
-            g_d2d = channel.los_gain_sq(cfg.chan_d2d, d_d2d)
+            g_d2d = self._d2d_loss
         else:
             n = self._normals
             g_uav = channel.fading_gain_sq(cfg.chan_uav, d_uav, n[:, 0], n[:, 1])
-            g_d2d = channel.fading_gain_sq(cfg.chan_d2d, d_d2d, n[:, 2], n[:, 3])
+            g_d2d = self._d2d_loss * channel.scatter_gain_sq(cfg.chan_d2d, n[:, 2], n[:, 3])
         tx = cfg.caps.tx_power
         self._rate_uav = channel.rate(cfg.chan_uav.bandwidth, tx, g_uav,
                                       cfg.chan_uav.noise_power)
@@ -397,13 +413,43 @@ class OffloadEnv:
                       e_idle_compute=e_idle_j, e_fly=e_fly_k)
         return _SlotOutcome(rows=rows, totals=totals, pos=pos, vel=vel, energy_used=used)
 
+    def _evaluate_finite(self, act: DecodedAction) -> _SlotOutcome:
+        """:meth:`_evaluate`, where every reward is finite. Otherwise raise a
+        ValueError naming the slot, the row of a batch, and the non-finite
+        reward terms, or that the reward overflows."""
+        try:
+            out = self._evaluate(act)
+        except OverflowError as exc:
+            raise ValueError(f"slot {self.slot}: the reward overflows ({exc})") from exc
+        reward = out.rows["reward"]
+        if libm.is_array(reward):
+            finite = np.isfinite(reward)
+            if np.count_nonzero(finite) != finite.size:
+                raise self._not_finite(out.rows, int(np.argmin(finite)))
+        elif not math.isfinite(reward):
+            raise self._not_finite(out.rows)
+        return out
+
+    def _not_finite(self, rows: dict, row: int | None = None) -> ValueError:
+        """The error for a non-finite reward, naming its non-finite terms."""
+        def value(name):
+            v = rows[name]
+            return float(v[row] if row is not None and libm.is_array(v) else v)
+
+        terms = [f"{name} = {value(name)!r}"
+                 for name in ("q", "u_uav", "u_idle", "u_busy", "penalty")
+                 if not math.isfinite(value(name))]
+        at = f"slot {self.slot}" if row is None else f"slot {self.slot}, row {row}"
+        return ValueError(f"{at}: the reward is not finite: "
+                          + ", ".join(terms or [f"reward = {value('reward')!r}"]))
+
     def step(self, raw_action) -> tuple[np.ndarray, float, LedgerEntry, bool]:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
         raw = np.asarray(raw_action, dtype=float)
         if raw.ndim != 1:
             raise ValueError(f"step takes one action vector, got shape {raw.shape}")
-        out = self._evaluate(decode(raw, self.cfg))
+        out = self._evaluate_finite(decode(raw, self.cfg))
         entry = out.entry(self.slot, self.cfg.world.battery_j)
         # Commit: move the UAVs, drain their batteries, re-associate, and
         # draw the next slot's tasks.
@@ -429,7 +475,7 @@ class OffloadEnv:
         if actions.ndim != 2:
             raise ValueError(f"actions must be a (B, {self.action_dim}) batch, "
                              f"got shape {actions.shape}")
-        return self._evaluate(decode(actions, self.cfg)).rows["reward"]
+        return self._evaluate_finite(decode(actions, self.cfg)).rows["reward"]
 
     def peek_reward(self, raw_action) -> float:
         """Reward of taking raw_action now: :meth:`peek_rewards` of one row."""

@@ -96,6 +96,12 @@ def associate(busy_pos: np.ndarray, uav_pos: np.ndarray) -> np.ndarray:
     its nearest idle UD this way."""
     if len(uav_pos) == 0:
         raise ValueError("need at least one UAV to associate")
-    diff = uav_pos - np.atleast_2d(busy_pos)[:, None, :]
-    d = np.sqrt(np.add.reduce(diff * diff, axis=2))   # norm(axis=2), minus its overhead
-    return np.argmin(d, axis=1)  # argmin breaks ties at lowest index
+    # One contiguous (I, K) plane per coordinate, summed x, then y, then z:
+    # the bits of norm(axis=2) over the (I, K, 3) differences, without its
+    # strided length-3 reduction.
+    diff = uav_pos.T.copy()[:, None, :] - np.atleast_2d(busy_pos).T.copy()[:, :, None]
+    diff *= diff
+    d = diff[0]
+    d += diff[1]
+    d += diff[2]
+    return np.argmin(np.sqrt(d, out=d), axis=1)  # argmin breaks ties at lowest index

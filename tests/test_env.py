@@ -407,6 +407,71 @@ class TestPeekRewards:
         assert before[1] == after[1]
 
 
+def _entry_bits(entry) -> bytes:
+    fields = dataclasses.astuple(entry)
+    return np.array(fields[:-1] + tuple(np.ravel(fields[-1])), dtype=float).tobytes()
+
+
+class TestEpisodeCaches:
+    """reset fixes the D2D partners, their path loss and the idle compute
+    loads: nothing of the last episode may leak into the next."""
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_reset_equals_a_fresh_env(self, deterministic):
+        cfg = small_sim(n_busy=9, n_idle=4, n_uav=3, n_slots=6)
+        cfg.deterministic_fading = deterministic
+        rng = np.random.default_rng(5)
+        actions = rng.uniform(-1, 1, (cfg.world.n_slots, action_length(3)))
+        used = OffloadEnv(cfg, 1)
+        for a in actions[:4]:
+            used.step(a)
+        fresh = OffloadEnv(cfg, 2)
+        assert used.reset(2).tobytes() == fresh.state().tobytes()
+        for a in actions:
+            s_used, _, e_used, _ = used.step(a)
+            s_fresh, _, e_fresh, _ = fresh.step(a)
+            assert s_used.tobytes() == s_fresh.tobytes()
+            assert _entry_bits(e_used) == _entry_bits(e_fresh)
+
+
+class TestFiniteReward:
+    def _env(self, **leaves):
+        cfg = small_sim(n_slots=3)
+        for path, value in leaves.items():
+            section, leaf = path.split("__")
+            setattr(getattr(cfg, section), leaf, value)
+        return OffloadEnv(cfg, 0)
+
+    def test_step_names_slot_and_terms_and_commits_nothing(self):
+        env = self._env(energy__kappa=1e300)
+        a = np.ones(env.action_dim)
+        state = env.state()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError,
+                               match=r"^slot 0: the reward is not finite: q = -inf, "):
+                env.step(a)
+        assert env.slot == 0
+        assert env.state().tobytes() == state.tobytes()
+
+    def test_peek_rewards_names_the_row(self):
+        env = self._env(energy__kappa=1e300)
+        batch = -np.ones((4, env.action_dim))   # every compute level at 0
+        assert np.isfinite(env.peek_rewards(batch)).all()
+        batch[2, 3] = 1.0                        # row 2 runs f_busy at its cap
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"^slot 0, row 2: the reward is not "
+                                                 r"finite: q = -?inf"):
+                env.peek_rewards(batch)
+
+    def test_overflow_names_the_slot(self):
+        env = self._env(caps__f_uav_max=1e300)
+        with pytest.raises(ValueError, match=r"^slot 0: the reward overflows") as info:
+            env.step(np.ones(env.action_dim))
+        assert isinstance(info.value.__cause__, OverflowError)
+        with pytest.raises(ValueError, match=r"^slot 0: the reward overflows"):
+            env.peek_rewards(np.ones((2, env.action_dim)))
+
+
 class TestRollout:
     def test_plays_from_the_current_state_to_the_end(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 6)

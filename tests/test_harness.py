@@ -314,6 +314,25 @@ class TestCli:
         assert err.startswith("ERROR ")
         assert "sim.world.n_busy" in json.loads(err[len("ERROR "):])["error"]
 
+    @pytest.mark.parametrize("section,leaf,message", [
+        ("energy", "kappa", "slot 0, row 0: the reward is not finite: q = -inf"),
+        ("chan_uav", "noise_power", "slot 0, row 0: the reward is not finite: q = inf"),
+        ("caps", "f_uav_max", "slot 0: the reward overflows"),
+    ])
+    def test_extreme_value_reports_error_json(self, out_root, tmp_path, capsys,
+                                              section, leaf, message):
+        # Before the finite check these validated, and the greedy baseline
+        # printed return=-inf or return=inf and exited 0, or ended with an
+        # OverflowError traceback and exit 1.
+        path = str(tmp_path / "extreme.json")
+        with open(path, "w") as fh:
+            json.dump({"sim": {section: {leaf: 1e300}}, "seeds": [0]}, fh)
+        with np.errstate(over="ignore"):
+            assert cli.main(["baseline", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["error"].startswith(message)
+
     @pytest.mark.parametrize("command,cell", [
         (["run"], "td3 seed 0: non-finite parameters"),
         (["sweep", "--axis", "n_uav"], "n_uav=1: td3 seed 0: non-finite parameters"),

@@ -123,3 +123,42 @@ class TestAssociate:
         # one association index per busy UD by construction
         assert len(w.assoc) == w.cfg.n_busy
         assert all(0 <= k < w.cfg.n_uav for k in w.assoc)
+
+
+def _associate_by_norm(busy_pos, uav_pos):
+    """The association as a norm over the (I, K, 3) differences."""
+    diff = uav_pos - busy_pos[:, None, :]
+    return np.argmin(np.sqrt(np.add.reduce(diff ** 2, axis=2)), axis=1)
+
+
+class TestAssociateEqualsNorm:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_worlds(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n_busy, n_uav = rng.integers(1, 301), rng.integers(1, 41)
+            busy = np.zeros((n_busy, 3))
+            busy[:, :2] = rng.uniform(0.0, 1000.0, (n_busy, 2))
+            uavs = rng.uniform((0.0, 0.0, 100.0), (1000.0, 1000.0, 200.0), (n_uav, 3))
+            assert associate(busy, uavs).tolist() == _associate_by_norm(busy, uavs).tolist()
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # Mirror images through each busy UD: the UAV at k and at its image
+        # are equally far, bit for bit, so each UD has a tie to break.
+        rng = np.random.default_rng(7)
+        busy = np.zeros((50, 3))
+        busy[:, :2] = rng.integers(100, 900, (50, 2))
+        for i, b in enumerate(busy):
+            near = rng.integers(-40, 41, 3).astype(float)
+            near[2] = 150.0
+            far = np.array([400.0, -400.0, 180.0])
+            uavs = np.array([b + far, b + near, b + near * (-1.0, 1.0, 1.0),
+                             b + near * (1.0, -1.0, 1.0), b + near])
+            want = _associate_by_norm(b[None], uavs).tolist()
+            assert want == [1]
+            assert associate(b[None], uavs).tolist() == want
+        # Every UD at once, against a UAV set that ties for all of them.
+        uavs = np.array([[500.0, 500.0, 150.0], [500.0, 500.0, 150.0],
+                         [0.0, 0.0, 150.0]])
+        assert associate(busy, uavs).tolist() == _associate_by_norm(busy, uavs).tolist()
+        assert set(associate(busy, uavs).tolist()) <= {0, 2}
