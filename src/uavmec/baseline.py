@@ -38,7 +38,7 @@ def steering_velocities(env: OffloadEnv) -> np.ndarray:
     return block.ravel()
 
 
-def greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
+def greedy_action(env: OffloadEnv) -> np.ndarray:
     """Coordinate-wise argmax over the 3-point grid for each scalar dim.
 
     The scalar dims go in consecutive groups of GROUP; each group scores its
@@ -55,28 +55,27 @@ def greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
     action = np.zeros(env.action_dim)
     action[11:11 + 3 * k] = steering_velocities(env)
     scalar_idx = list(range(0, 11)) + [11 + 3 * k]
-    for _ in range(passes):
-        for start in range(0, len(scalar_idx), GROUP):
-            dims = scalar_idx[start:start + GROUP]
-            n = len(dims)
-            trials = np.repeat(action[None], len(GRID) ** n, axis=0)
-            trials[:, dims] = PRODUCT_GRID[:len(trials), GROUP - n:]
-            rewards = env.peek_rewards(trials).reshape((len(GRID),) * n)
-            pick = [GRID.index(action[dim]) for dim in dims]
-            for p in range(n):
-                line = rewards[(*pick[:p], slice(None), *pick[p + 1:])].tolist()
-                best = line[pick[p]]
-                for v, r in enumerate(line):
-                    if r > best:
-                        best, pick[p] = r, v
-            action[dims] = [GRID[v] for v in pick]
+    for start in range(0, len(scalar_idx), GROUP):
+        dims = scalar_idx[start:start + GROUP]
+        n = len(dims)
+        trials = np.repeat(action[None], len(GRID) ** n, axis=0)
+        trials[:, dims] = PRODUCT_GRID[:len(trials), GROUP - n:]
+        rewards = env.peek_rewards(trials).reshape((len(GRID),) * n)
+        pick = [GRID.index(action[dim]) for dim in dims]
+        for p in range(n):
+            line = rewards[(*pick[:p], slice(None), *pick[p + 1:])].tolist()
+            best = line[pick[p]]
+            for v, r in enumerate(line):
+                if r > best:
+                    best, pick[p] = r, v
+        action[dims] = [GRID[v] for v in pick]
     return action
 
 
-def greedy_episode(cfg: SimConfig, seed: int, passes: int = 1):
+def greedy_episode(cfg: SimConfig, seed: int):
     """Roll one greedy episode; returns (episode return, ledger entries)."""
     env = OffloadEnv(cfg, seed)
-    entries = rollout(env, lambda _: greedy_action(env, passes=passes))
+    entries = rollout(env, lambda _: greedy_action(env))
     return episode_return(e.reward for e in entries), entries
 
 

@@ -9,8 +9,9 @@ Subcommands:
 
 Output root defaults to the config's output_dir and may be overridden with
 the UAVMEC_OUTPUT_ROOT environment variable. Exit code 0 on success; on
-failure (a bad config or file, or a training cell whose learner diverged) a
-machine-readable ``ERROR {json}`` line goes to stderr and the exit code is 2.
+failure (a bad config or file, or a failed cell, named as
+``<axis>=<value>: <algorithm> seed <seed>: ...``) one machine-readable
+``ERROR {json}`` line, and nothing else, goes to stderr and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import harness
-from .baseline import greedy_baseline
 from .config import SWEEP_AXES, ConfigError, load_experiment
 from .env import action_length, state_length
 from .td3 import DivergenceError, load_actor
@@ -52,6 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each non-finite outcome raises a named error: numpy's warnings add nothing.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -76,9 +80,9 @@ def main(argv=None) -> int:
             print(f"trajectory CSV: {args.out}")
         elif args.command == "baseline":
             cfg = load_experiment(args.config)
-            for seed in cfg.seeds:
-                ret = greedy_baseline(cfg.sim, seed)
-                print(f"seed={seed} return={float(ret)!r}")
+            cfg.algorithms = ("greedy",)
+            for _, _, seed, returns, _ in harness.cells(cfg):
+                print(f"seed={seed} return={float(returns[0])!r}")
     except (ConfigError, DivergenceError, OSError, ValueError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

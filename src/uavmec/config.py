@@ -41,6 +41,7 @@ class Domain:
 _POSITIVE = Domain("must be positive", lambda v: v > 0)
 _NONNEGATIVE = Domain("must be nonnegative", lambda v: v >= 0)
 _NON_EMPTY = Domain("must be a non-empty list", lambda v: len(v) > 0)
+_DISTINCT = Domain("must be distinct", lambda v: len(set(v)) == len(v))
 
 Positive = Annotated[float, _POSITIVE]
 NonNegative = Annotated[float, _NONNEGATIVE]
@@ -224,13 +225,10 @@ class Td3Config(_Section):
     episodes: Count = 200
     warmup_steps: Annotated[int, _NONNEGATIVE] = 1000
     hidden: tuple[Count, ...] = (256, 256)
-    optimizer: str = "adam"
     # At 0 the agent trains on zero reward; below 0 it minimises revenue.
     reward_scale: Positive = 1.0
 
     def _rules(self, at: str) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"{at}.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.buffer_capacity < self.batch_size:
             raise ConfigError(f"{at}.buffer_capacity must be at least {at}.batch_size, "
                               f"or no update ever runs, got {self.buffer_capacity!r} "
@@ -253,6 +251,10 @@ class PpoConfig(_Section):
     reward_scale: Positive = 1.0
 
 
+ALGORITHMS = ("td3", "ddpg", "ppo", "greedy")
+Algorithm = Annotated[str, Domain(f"must be one of {', '.join(ALGORITHMS)}",
+                                  lambda v: v in ALGORITHMS)]
+
 # Sweep axis -> the (SimConfig section, field) it sets.
 SWEEP_AXES = {"n_uav": ("world", "n_uav"), "n_idle": ("world", "n_idle"),
               "n_busy": ("world", "n_busy"), "f_k_max": ("caps", "f_uav_max")}
@@ -273,8 +275,9 @@ class ExperimentConfig(_Section):
     sim: SimConfig = field(default_factory=SimConfig)
     td3: Td3Config = field(default_factory=Td3Config)
     ppo: PpoConfig = field(default_factory=PpoConfig)
-    algorithms: Annotated[tuple[str, ...], _NON_EMPTY] = ("td3", "ddpg", "ppo")
-    seeds: Annotated[tuple[Annotated[int, _NONNEGATIVE], ...], _NON_EMPTY] = (0, 1, 2)
+    algorithms: Annotated[tuple[Algorithm, ...], _NON_EMPTY] = ("td3", "ddpg", "ppo")
+    seeds: Annotated[tuple[Annotated[int, _NONNEGATIVE], ...], _NON_EMPTY,
+                     _DISTINCT] = (0, 1, 2)
     output_dir: str = "runs"
     sweep_axes: dict[str, Annotated[list, _NON_EMPTY]] = field(default_factory=lambda: {
         "n_uav": [1, 2, 3],
@@ -286,11 +289,6 @@ class ExperimentConfig(_Section):
     config_version: Annotated[int, Domain("must be 1", lambda v: v == 1)] = 1
 
     def _rules(self, at: str) -> None:
-        for a in self.algorithms:
-            if a not in ("td3", "ddpg", "ppo", "greedy"):
-                raise ConfigError(f"algorithms: unknown algorithm '{a}'")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {tuple(self.seeds)!r}")
         for axis, values in self.sweep_axes.items():
             if axis not in SWEEP_AXES:
                 raise ConfigError(f"sweep_axes: unknown axis '{axis}'")
@@ -299,6 +297,9 @@ class ExperimentConfig(_Section):
                     apply_axis(self.sim, axis, value).validate()
                 except ConfigError as exc:
                     raise ConfigError(f"sweep_axes.{axis}[{i}]: {exc}") from exc
+            # Checked on valid values only: a repeat would run its cells twice.
+            if not _DISTINCT.ok(values):
+                raise ConfigError(f"sweep_axes.{axis} {_DISTINCT.text}, got {values!r}")
 
 
 # JSON types each annotated leaf type accepts; bool is never an int here.

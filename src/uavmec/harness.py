@@ -60,25 +60,34 @@ def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
 
 
 def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
-    """Returns (per-episode returns, trained actor or None). A learner that
-    diverges raises DivergenceError naming the algorithm and the seed."""
-    def factory(s):
-        return OffloadEnv(sim, s)
-    try:
-        if algo == "td3":
-            log, agent = td3_train(factory, cfg.td3, seed)
-            return log.episode_returns, agent.actor
-        if algo == "ddpg":
-            log, agent = ddpg_train(factory, cfg.td3, seed)
-            return log.episode_returns, agent.actor
-        if algo == "ppo":
-            log, agent = ppo_train(factory, cfg.ppo, seed)
-            return log.episode_returns, agent.mean_net
-    except DivergenceError as exc:
-        raise DivergenceError(f"{algo} seed {seed}: {exc}") from exc
+    """(per-episode returns, trained actor or None) of one cell."""
     if algo == "greedy":
         return [greedy_baseline(sim, seed)], None
-    raise ValueError(f"unknown algorithm '{algo}'")
+    def factory(s):
+        return OffloadEnv(sim, s)
+    if algo == "ppo":
+        log, agent = ppo_train(factory, cfg.ppo, seed)
+        return log.episode_returns, agent.mean_net
+    log, agent = (td3_train if algo == "td3" else ddpg_train)(factory, cfg.td3, seed)
+    return log.episode_returns, agent.actor
+
+
+def cells(cfg: ExperimentConfig, axis: str | None = None):
+    """Train each cell, one algorithm on one seed of one scenario, in order:
+    each axis value (None: the base scenario), each algorithm, each seed.
+    Yields (value, algorithm, seed, per-episode returns, actor or None). A
+    failing cell re-raises its DivergenceError or ValueError, same type,
+    prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
+    for value in cfg.sweep_axes[axis] if axis else [None]:
+        sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
+        for algo in cfg.algorithms:
+            for seed in cfg.seeds:
+                try:
+                    returns, actor = _train_one(algo, sim, cfg, seed)
+                except (DivergenceError, ValueError) as exc:
+                    cell = f"{axis}={value!r}: " if axis else ""
+                    raise type(exc)(f"{cell}{algo} seed {seed}: {exc}") from exc
+                yield value, algo, seed, returns, actor
 
 
 def converged_return(returns: list[float]) -> float:
@@ -94,12 +103,10 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
     run_dir = _prepare_dir(cfg, name)
     snap, meta = _snapshot(cfg, run_dir)
     rows = []
-    for algo in cfg.algorithms:
-        for seed in cfg.seeds:
-            returns, actor = _train_one(algo, cfg.sim, cfg, seed)
-            rows += [(algo, seed, ep, ret) for ep, ret in enumerate(returns)]
-            if actor is not None:
-                save_actor(os.path.join(run_dir, f"actor_{algo}_{seed}.npz"), actor)
+    for _, algo, seed, returns, actor in cells(cfg):
+        rows += [(algo, seed, ep, ret) for ep, ret in enumerate(returns)]
+        if actor is not None:
+            save_actor(os.path.join(run_dir, f"actor_{algo}_{seed}.npz"), actor)
     conv = os.path.join(run_dir, "convergence.csv")
     _write_csv(conv, ("algorithm", "seed", "episode", "return"), rows)
     return RunArtifact(run_dir=run_dir, convergence_csv=conv,
@@ -114,23 +121,15 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
         raise ValueError(f"axis '{axis}' not present in sweep_axes")
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")
     snap, meta = _snapshot(cfg, run_dir)
-    detail_rows = []
-    for value in cfg.sweep_axes[axis]:
-        sim = apply_axis(cfg.sim, axis, value)
-        for algo in cfg.algorithms:
-            for seed in cfg.seeds:
-                try:
-                    returns, _ = _train_one(algo, sim, cfg, seed)
-                except DivergenceError as exc:
-                    raise DivergenceError(f"{axis}={value!r}: {exc}") from exc
-                detail_rows.append((value, algo, seed, converged_return(returns)))
+    detail_rows = [(value, algo, seed, converged_return(returns))
+                   for value, algo, seed, returns, _ in cells(cfg, axis)]
     detail = os.path.join(run_dir, f"sweep_{axis}_detail.csv")
     _write_csv(detail, (axis, "algorithm", "seed", "converged_return"), detail_rows)
-    summary_rows = []
-    for value in cfg.sweep_axes[axis]:
-        for algo in cfg.algorithms:
-            vals = [r for v, a, _, r in detail_rows if v == value and a == algo]
-            summary_rows.append((value, algo, np.mean(vals), np.std(vals), len(vals)))
+    by_pair = {}   # (value, algorithm) -> returns, in cell order
+    for value, algo, _, ret in detail_rows:
+        by_pair.setdefault((value, algo), []).append(ret)
+    summary_rows = [(value, algo, np.mean(vals), np.std(vals), len(vals))
+                    for (value, algo), vals in by_pair.items()]
     summary = os.path.join(run_dir, f"sweep_{axis}_summary.csv")
     _write_csv(summary, (axis, "algorithm", "mean_return", "std_return", "n_seeds"),
                summary_rows)

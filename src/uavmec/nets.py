@@ -167,6 +167,9 @@ class Adam:
 
 
 class Sgd:
+    """Plain gradient descent. No learner uses it; the benchmark's tracer
+    still patches ``Sgd.step`` by name."""
+
     def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
@@ -174,14 +177,6 @@ class Sgd:
     def step(self, grads: list[np.ndarray]) -> None:
         for p, g in zip(self.params, grads):
             p -= self.lr * g
-
-
-def make_optimizer(kind: str, params: list[np.ndarray], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer '{kind}'")
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Td3Config
 from .env import episode_return, transitions
-from .nets import Mlp, all_finite, make_optimizer, soft_update
+from .nets import Adam, Mlp, all_finite, soft_update
 from .replay import ReplayBuffer
 
 
@@ -50,11 +50,8 @@ class Td3Agent:
         self.critics = [Mlp([state_dim + action_dim] + hidden + [1], "identity", rng)
                         for _ in range(n_critics)]
         self.critic_targets = [c.copy() for c in self.critics]
-        self.actor_opt = make_optimizer(cfg.optimizer, [self.actor.flat],
-                                        cfg.actor_lr)
-        self.critic_opt = make_optimizer(cfg.optimizer,
-                                         [c.flat for c in self.critics],
-                                         cfg.critic_lr)
+        self.actor_opt = Adam([self.actor.flat], cfg.actor_lr)
+        self.critic_opt = Adam([c.flat for c in self.critics], cfg.critic_lr)
         self.critic_update_count = 0
         self.actor_update_count = 0
 

@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,25 @@ def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10) -> SimConfig:
     cfg.world.n_uav = n_uav
     cfg.world.n_slots = n_slots
     return cfg
+
+
+def _bare(hint):
+    return typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Annotated else hint
+
+
+def numeric_leaves(cls, path=""):
+    """(dotted path, int or float) of every numeric field of the config
+    dataclass cls, at every depth, found from ``dataclasses.fields``; a
+    tuple of numbers is named by its first element, ``<path>[0]``."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        hint, where = _bare(hints[f.name]), f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hint):
+            yield from numeric_leaves(hint, where)
+        elif hint in (int, float):
+            yield where, hint
+        elif typing.get_origin(hint) is tuple and _bare(typing.get_args(hint)[0]) in (int, float):
+            yield where + "[0]", _bare(typing.get_args(hint)[0])
 
 
 @pytest.fixture

@@ -12,24 +12,23 @@ from uavmec.config import SimConfig
 from uavmec.env import OffloadEnv
 
 
-def sequential_greedy_action(env: OffloadEnv, passes: int = 1) -> np.ndarray:
+def sequential_greedy_action(env: OffloadEnv) -> np.ndarray:
     """Coordinate search scoring one candidate per peek_reward call."""
     k = env.cfg.world.n_uav
     action = np.zeros(env.action_dim)
     action[11:11 + 3 * k] = steering_velocities(env)
     scalar_idx = list(range(0, 11)) + [11 + 3 * k]
     best_reward = env.peek_reward(action)
-    for _ in range(passes):
-        for dim in scalar_idx:
-            for candidate in GRID:
-                if candidate == action[dim]:
-                    continue
-                trial = action.copy()
-                trial[dim] = candidate
-                r = env.peek_reward(trial)
-                if r > best_reward:
-                    best_reward = r
-                    action = trial
+    for dim in scalar_idx:
+        for candidate in GRID:
+            if candidate == action[dim]:
+                continue
+            trial = action.copy()
+            trial[dim] = candidate
+            r = env.peek_reward(trial)
+            if r > best_reward:
+                best_reward = r
+                action = trial
     return action
 
 
@@ -43,17 +42,16 @@ def _sized(n_busy, n_idle, n_uav, deterministic_fading=False) -> SimConfig:
     return cfg
 
 
-@pytest.mark.parametrize("passes", [1, 2])
 @pytest.mark.parametrize("shape", [(20, 10, 5), (6, 3, 2), (6, 3, 2, True)],
                          ids=["20-10-5", "6-3-2", "6-3-2-deterministic"])
-def test_batched_greedy_equals_sequential_search(shape, passes):
+def test_batched_greedy_equals_sequential_search(shape):
     cfg = _sized(*shape)
     for seed in range(5):
         env = OffloadEnv(cfg, seed)
         f2_fired = done = False
         while not done:
-            action = greedy_action(env, passes=passes)
-            assert action.tobytes() == sequential_greedy_action(env, passes).tobytes()
+            action = greedy_action(env)
+            assert action.tobytes() == sequential_greedy_action(env).tobytes()
             _, _, entry, done = env.step(action)
             f2_fired |= entry.f2 > 0
         assert f2_fired
@@ -70,6 +68,6 @@ def test_any_group_size_equals_sequential_search(group, monkeypatch):
         env = OffloadEnv(cfg, seed)
         done = False
         while not done:
-            action = greedy_action(env, passes=2)
-            assert action.tobytes() == sequential_greedy_action(env, 2).tobytes()
+            action = greedy_action(env)
+            assert action.tobytes() == sequential_greedy_action(env).tobytes()
             _, _, _, done = env.step(action)

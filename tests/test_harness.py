@@ -1,14 +1,14 @@
 """Orchestration layer: run/sweep/trajectory artifacts, CSV schemas,
 byte-identical re-runs, and the CLI wrapper."""
 
-import dataclasses
 import gc
 import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
-import typing
 import weakref
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_sim
+from conftest import numeric_leaves, small_sim
 from uavmec import cli, config, harness
 from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
                            Td3Config, WorldConfig, apply_axis, experiment_from_dict,
@@ -92,8 +92,32 @@ class TestRun:
     def test_unknown_algorithm_rejected(self, out_root):
         cfg = tiny_experiment()
         cfg.algorithms = ("td3", "sarsa")
-        with pytest.raises(ConfigError, match="sarsa"):
+        with pytest.raises(ConfigError, match=r"^algorithms\[1\] must be one of td3, "
+                                              r"ddpg, ppo, greedy, got 'sarsa'$"):
             harness.run(cfg)
+
+
+class TestCells:
+    def test_order_and_values(self):
+        cfg = tiny_experiment(algorithms=("greedy", "ppo"),
+                              sim=small_sim(n_busy=3, n_idle=2, n_uav=2, n_slots=2),
+                              ppo=PpoConfig(episodes=1, rollout_episodes=1,
+                                            hidden=(4,), epochs=1, minibatch_size=2))
+        got = [(value, algo, seed, len(returns), actor is None)
+               for value, algo, seed, returns, actor in harness.cells(cfg, "n_uav")]
+        assert got == [(v, a, s, 1, a == "greedy")
+                       for v in (1, 2) for a in ("greedy", "ppo") for s in (0, 1)]
+        assert [cell[:3] for cell in harness.cells(cfg)] == [
+            (None, a, s) for a in ("greedy", "ppo") for s in (0, 1)]
+
+    def test_failing_cell_keeps_the_error_type(self):
+        cfg = tiny_experiment(algorithms=("greedy",), sim=small_sim(n_slots=2),
+                              sweep_axes={"f_k_max": [1e300]})
+        with pytest.raises(ValueError, match=r"^f_k_max=1e\+300: greedy seed 0: slot 0: ") \
+                as info:
+            next(harness.cells(cfg, "f_k_max"))
+        assert type(info.value) is ValueError
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestConvergedReturn:
@@ -193,11 +217,56 @@ class TestTrajectory:
             assert f1.read() == f2.read()
 
 
+class TestLedgerExport:
+    def _actor(self, sim):
+        env = OffloadEnv(sim, 0)
+        return Mlp((env.state_dim, 8, env.action_dim), "tanh", np.random.default_rng(5))
+
+    def test_schema_rows_and_seeds(self, tmp_path):
+        sim = small_sim(n_uav=2, n_slots=4)
+        actor = self._actor(sim)
+        path, later = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        harness.export_ledger(sim, actor, 3, path, episodes=2)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == ("episode,slot,Q,U_K,U_J,U_I,F1,F2,F3,F4,reward,"
+                            + ",".join(f"uav{k}_{c}" for k in range(2)
+                                       for c in ("x", "y", "z", "energy")))
+        rows = [line.split(",", 2) for line in lines[1:]]
+        assert [(int(e), int(t)) for e, t, _ in rows] == [
+            (e, t) for e in range(2) for t in range(4)]
+        # Episode 1 is the rollout at seed + 1: episode 0 of an export at 4.
+        harness.export_ledger(sim, actor, 4, later)
+        with open(later) as fh:
+            first = [line.split(",", 2) for line in fh.read().splitlines()[1:]]
+        assert [rest for _, _, rest in rows[4:]] == [rest for _, _, rest in first]
+        assert [rest for _, _, rest in rows[:4]] != [rest for _, _, rest in first]
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        sim = small_sim(n_slots=3)
+        actor = self._actor(sim)
+        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        harness.export_ledger(sim, actor, 0, p1, episodes=2)
+        harness.export_ledger(sim, actor, 0, p2, episodes=2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, cfg):
         path = str(tmp_path / "cfg.json")
         save_experiment(cfg, path)
         return path
+
+    @staticmethod
+    def _diverging_experiment():
+        """A TD3 cell whose parameters leave the floats at step 6."""
+        return tiny_experiment(
+            sim=small_sim(n_busy=2, n_idle=1, n_uav=1, n_slots=5),
+            td3=Td3Config(actor_lr=1e100, critic_lr=1e100,
+                          reward_scale=1e100, episodes=3, warmup_steps=5,
+                          batch_size=4, buffer_capacity=100, hidden=(8, 8)),
+            seeds=(0,), sweep_axes={"n_uav": [1]})
 
     def test_run_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(tmp_path, tiny_experiment(seeds=(0,)))
@@ -327,11 +396,24 @@ class TestCli:
         path = str(tmp_path / "extreme.json")
         with open(path, "w") as fh:
             json.dump({"sim": {section: {leaf: 1e300}}, "seeds": [0]}, fh)
-        with np.errstate(over="ignore"):
-            assert cli.main(["baseline", path]) == 2
+        assert cli.main(["baseline", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR ")
-        assert json.loads(err[len("ERROR "):])["error"].startswith(message)
+        assert json.loads(err[len("ERROR "):])["error"].startswith("greedy seed 0: " + message)
+
+    def test_failing_sweep_cell_names_axis_value(self, out_root, tmp_path, capsys):
+        # Before, the error named no axis value, algorithm or seed.
+        path = str(tmp_path / "extreme.json")
+        with open(path, "w") as fh:
+            json.dump({"sim": {"world": {"n_busy": 4, "n_idle": 2, "n_uav": 2,
+                                         "n_slots": 3}},
+                       "algorithms": ["greedy"], "seeds": [0, 1],
+                       "sweep_axes": {"f_k_max": [30e9, 1e300]}}, fh)
+        assert cli.main(["sweep", path, "--axis", "f_k_max"]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("ERROR "):])["error"].startswith(
+            "f_k_max=1e+300: greedy seed 0: slot 0: the reward overflows (")
+        assert not list(out_root.rglob("*.csv"))
 
     @pytest.mark.parametrize("command,cell", [
         (["run"], "td3 seed 0: non-finite parameters"),
@@ -340,21 +422,35 @@ class TestCli:
     def test_diverging_cell_reports_error_json(self, out_root, tmp_path, capsys,
                                                command, cell):
         # Before, the DivergenceError ended the CLI with a traceback and exit 1.
-        cfg = tiny_experiment(
-            sim=small_sim(n_busy=2, n_idle=1, n_uav=1, n_slots=5),
-            td3=Td3Config(optimizer="sgd", actor_lr=1e100, critic_lr=1e100,
-                          reward_scale=1e100, episodes=3, warmup_steps=5,
-                          batch_size=4, buffer_capacity=100, hidden=(8, 8)),
-            seeds=(0,), sweep_axes={"n_uav": [1]})
-        path = self._write_cfg(tmp_path, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(command[:1] + [path] + command[1:])
-        assert code == 2
+        path = self._write_cfg(tmp_path, self._diverging_experiment())
+        assert cli.main(command[:1] + [path] + command[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR ")
         assert cell in json.loads(err[len("ERROR "):])["error"]
         # A failed cell writes no curve: neither file holds a partial table.
         assert not list(out_root.rglob("*.csv"))
+
+    @pytest.mark.parametrize("case", ["kappa", "diverging"])
+    def test_stderr_is_one_error_line(self, out_root, tmp_path, case):
+        # In a child process, where nothing captures numpy's warnings: before,
+        # RuntimeWarning lines came ahead of the ERROR line.
+        if case == "kappa":
+            cfg = tiny_experiment(sim=small_sim(n_slots=3), algorithms=("greedy",),
+                                  seeds=(0,))
+            cfg.sim.energy.kappa = 1e300
+            command = "baseline"
+        else:
+            cfg = self._diverging_experiment()
+            command = "run"
+        path = self._write_cfg(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "uavmec.cli", command, path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
 
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2
@@ -482,8 +578,29 @@ class TestConfigErrors:
             ppo_train(lambda s: OffloadEnv(small_sim(n_slots=2), s), cfg, 0)
 
     def test_removed_induced_term_knob_is_unknown(self):
-        with pytest.raises(ConfigError, match=r"sim\.energy\.classical_induced_term"):
-            experiment_from_dict({"sim": {"energy": {"classical_induced_term": False}}})
+        # Each retired field fails by name, as any unknown field does.
+        for blob, path in [
+                ({"sim": {"energy": {"classical_induced_term": False}}},
+                 r"sim\.energy\.classical_induced_term"),
+                ({"td3": {"optimizer": "adam"}}, r"td3\.optimizer")]:
+            with pytest.raises(ConfigError, match=f"unknown field '{path}'"):
+                experiment_from_dict(blob)
+
+    def test_repeated_sweep_value_names_axis(self):
+        # Before, [1, 1] validated, and the sweep ran each cell twice and
+        # wrote two identical summary rows, each with n_seeds twice the seeds.
+        with pytest.raises(ConfigError, match=r"^sweep_axes\.n_uav must be distinct, "
+                                              r"got \[1, 1\]$"):
+            experiment_from_dict({"sweep_axes": {"n_uav": [1, 1]}})
+        # Each value is checked first, so a bad repeat is named by its index.
+        with pytest.raises(ConfigError, match=r"sweep_axes\.n_uav\[0\]"):
+            experiment_from_dict({"sweep_axes": {"n_uav": [0, 0]}})
+        with pytest.raises(ConfigError, match=r"^sweep_axes\.f_k_max must be distinct"):
+            experiment_from_dict({"sweep_axes": {"f_k_max": [1e10, 10**10]}})
+
+    def test_repeated_seed_message(self):
+        with pytest.raises(ConfigError, match=r"^seeds must be distinct, got \(0, 0\)$"):
+            experiment_from_dict({"seeds": [0, 0]})
 
     def test_unknown_key_names_path(self, tmp_path):
         path = str(tmp_path / "c.json")
@@ -497,26 +614,8 @@ class TestConfigErrors:
             load_experiment(path)
 
 
-def _bare(hint):
-    return typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Annotated else hint
-
-
-def _numeric_leaves(cls, path=""):
-    """The dotted path of every int or float field of cls, at every depth;
-    a tuple of numbers is named by its first element."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    for f in dataclasses.fields(cls):
-        hint, where = _bare(hints[f.name]), f"{path}.{f.name}" if path else f.name
-        if dataclasses.is_dataclass(hint):
-            yield from _numeric_leaves(hint, where)
-        elif hint in (int, float):
-            yield where
-        elif typing.get_origin(hint) is tuple and _bare(typing.get_args(hint)[0]) in (int, float):
-            yield where + "[0]"
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("path", list(_numeric_leaves(ExperimentConfig)))
+@pytest.mark.parametrize("path", [path for path, _ in numeric_leaves(ExperimentConfig)])
 def test_non_finite_number_names_path(path, value):
     # Before one walker checked every field, 110 of the 195 float probes
     # validated and 76 of the rejections named no path.
@@ -570,13 +669,12 @@ def _experiments(draw) -> ExperimentConfig:
                     exploration_noise_sigma=draw(st.floats(0.0, 2.0)),
                     batch_size=batch,
                     buffer_capacity=batch + draw(st.integers(0, 10**6)),
-                    hidden=draw(_widths),
-                    optimizer=draw(st.sampled_from(("adam", "sgd"))))
+                    hidden=draw(_widths))
     sweep_axes = draw(st.fixed_dictionaries({}, optional={
-        "n_uav": st.lists(_counts, min_size=1, max_size=4),
-        "n_idle": st.lists(_counts, min_size=1, max_size=4),
-        "n_busy": st.lists(_counts, min_size=1, max_size=4),
-        "f_k_max": st.lists(st.floats(1e6, 1e12), min_size=1, max_size=4),
+        "n_uav": st.lists(_counts, min_size=1, max_size=4, unique=True),
+        "n_idle": st.lists(_counts, min_size=1, max_size=4, unique=True),
+        "n_busy": st.lists(_counts, min_size=1, max_size=4, unique=True),
+        "f_k_max": st.lists(st.floats(1e6, 1e12), min_size=1, max_size=4, unique=True),
     }))
     return ExperimentConfig(
         sim=SimConfig(world=world, deterministic_fading=draw(st.booleans())),

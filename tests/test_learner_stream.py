@@ -64,8 +64,6 @@ def _run_ppo(seed):
 # name -> (runner, training seed).
 CASES = {
     "td3": (_td3_case(td3_train), 0),
-    "td3-sgd": (_td3_case(td3_train, optimizer="sgd", actor_lr=1e-3,
-                          critic_lr=1e-3), 1),
     "ddpg": (_td3_case(ddpg_train, episodes=4), 2),
     "ppo": (_run_ppo, 3),
 }

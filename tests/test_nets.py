@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavmec.nets import Adam, Mlp, Sgd, all_finite, make_optimizer, soft_update
+from uavmec.nets import Adam, Mlp, Sgd, all_finite, soft_update
 
 
 def finite_diff_grads(net, x, loss_fn, h=1e-5):
@@ -194,12 +194,8 @@ class TestOptimizers:
             opt.step([2 * p[0]])
         assert abs(p[0][0]) < 1e-3
 
-    def test_make_optimizer_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_optimizer("rmsprop", [], 0.1)
-
-    def test_make_optimizer_accepts_no_params(self):
-        make_optimizer("adam", [], 0.1).step([])
+    def test_adam_accepts_no_params(self):
+        Adam([], 0.1).step([])
 
     def test_adam_is_bitwise_textbook_and_leaves_grads(self):
         # Two parameters of different sizes, as PPO's [mean_net.flat, log_std].
