@@ -12,10 +12,11 @@ from .env import OffloadEnv, episode_return, rollout
 
 GRID = (-1.0, 0.0, 1.0)
 # Scalar dims scored per kernel call. On a 2-vCPU x86_64 machine a
-# peek_rewards call at 20/10/5 costs about 410 us at 3 rows and 660 us at 27,
-# mostly fixed per-call overhead; with 1, 2, 3 and 4 dims per call the
-# greedy-paper step p50 was 5.9, 3.8, 3.5 and 4.5 ms: 81 rows cost more than
-# the calls they save.
+# peek_rewards call at 20/10/5 costs about 200 us at 3 rows, 260 us at 27 and
+# 365 us at 81, mostly fixed per-call overhead. With 2, 3 and 4 dims per call
+# the greedy-paper step p50 was 3.8-4.1, 3.2-3.4 and 3.1-3.3 ms, and a greedy
+# slot timed in-process 1.73, 1.45 and 1.48 ms: 3 and 4 are level within the
+# run-to-run spread.
 GROUP = 3
 # Product grid of GRID over GROUP dims, last dim fastest. Its first
 # len(GRID)**g rows, last g columns, are the product grid over g dims.

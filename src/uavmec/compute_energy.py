@@ -129,8 +129,15 @@ def idle_compute_delay(eps2, bits, cycles_per_bit: float, f_idle):
     return _zero_if_no_work(eps2, _ratio_or_inf(eps2 * bits * cycles_per_bit, f_idle))
 
 
-def idle_compute_energy(eps2, bits, cycles_per_bit: float, f_idle, kappa: float):
-    return kappa * libm.power(f_idle, 2) * eps2 * bits * cycles_per_bit
+def idle_compute_energy(eps2, bits, cycles_per_bit: float, f_idle, kappa: float,
+                        index=None):
+    """Idle-UD compute energy of the D2D share. With index, f_idle holds
+    only the distinct compute shares (last axis) and index picks each UD's:
+    the square runs once per distinct share."""
+    f_sq = libm.power(f_idle, 2)
+    if index is not None:
+        f_sq = f_sq[..., index]
+    return kappa * f_sq * eps2 * bits * cycles_per_bit
 
 
 def ladder_level(task: TaskParams, index):

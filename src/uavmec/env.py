@@ -29,8 +29,13 @@ Each quantity is computed when the last thing it depends on is fixed:
   action changes, the UAV link's and the D2D link's (the episode's path
   loss times, under stochastic fading, the slot's scatter gain).
 - Per action: the split, compute levels, prices, weights, bitrate and
-  velocities, and with them every delay, energy, utility and penalty, and
-  the move.
+  velocities, and with them every delay, energy, utility and penalty.
+  Powers run once per distinct value: the idle compute share squared once
+  per distinct partner load (``reset`` keeps those loads), and in a batch
+  the flight energy once per distinct UAV speed, gathered back to each row.
+- Per ledger entry, only for the action ``step`` commits: the sums of the
+  per-UD delays and energies, and the move (also computed for every action
+  on the last slot, where the return penalty F4 reads it).
 
 The slot evaluation is one array pass over all busy UDs, for one action or
 for a batch of B actions. In a batch each action's scalars (split, compute
@@ -109,23 +114,25 @@ class LedgerEntry:
 
 
 class _SlotOutcome(NamedTuple):
-    """Evaluated slots and the UAV states they leave behind, with the decoded
-    action's leading shape L: () for one action, (B,) for a batch. A row
-    field that no action changes (F1, or F4 before the last slot) is one
-    float for all rows."""
-    rows: dict[str, np.ndarray]     # LedgerEntry fields, shape L
-    totals: dict[str, np.ndarray]   # ledger energy totals by party, L + (K,) or L + (J,)
-    pos: np.ndarray                 # L + (K, 3) after the move
-    vel: np.ndarray                 # L + (K, 3)
-    energy_used: np.ndarray         # L + (K,) cumulative
+    """Evaluated slots and the velocities and battery use they commit, with
+    the decoded action's leading shape L: () for one action, (B,) for a
+    batch. A row field that no action changes (F1, or F4 before the last
+    slot) is one float for all rows. The ledger's per-UD and per-party terms
+    are kept unreduced: only :meth:`entry` sums them."""
+    rows: dict[str, np.ndarray]      # the reward and its terms, shape L
+    ud_terms: dict[str, np.ndarray]  # ledger delays and energies, L + (I,)
+    totals: dict[str, np.ndarray]    # ledger energy totals by party, L + (K,) or L + (J,)
+    vel: np.ndarray                  # L + (K, 3), the clamped velocities
+    energy_used: np.ndarray          # L + (K,) cumulative
 
-    def entry(self, slot: int, battery_j: float) -> LedgerEntry:
-        """The ledger entry of a one-action outcome."""
+    def entry(self, slot: int, battery_j: float, pos: np.ndarray) -> LedgerEntry:
+        """The ledger entry of a one-action outcome, whose move ends at pos."""
         remaining = np.maximum(battery_j - self.energy_used, 0.0).tolist()
+        ud_sums = _running_sums(np.array(list(self.ud_terms.values())))
         return LedgerEntry(
-            slot=slot, **self.rows,
+            slot=slot, **self.rows, **dict(zip(self.ud_terms, ud_sums)),
             **{name: float(v.sum()) for name, v in self.totals.items()},
-            uav_rows=[(x, y, z, e) for (x, y, z), e in zip(self.pos.tolist(), remaining)])
+            uav_rows=[(x, y, z, e) for (x, y, z), e in zip(pos.tolist(), remaining)])
 
 
 def action_length(n_uav: int) -> int:
@@ -255,8 +262,10 @@ class OffloadEnv:
         self._d2d_partner = partner
         self._d2d_loss = channel.los_gain_sq(
             self.cfg.chan_d2d, np.maximum(channel.link_distance(busy, idle[partner]), 1.0))
-        # Idle compute is shared evenly among the busy UDs an idle UD serves.
-        self._partner_load = np.bincount(partner)[partner]
+        # Idle compute is shared evenly among the busy UDs an idle UD serves:
+        # the distinct loads, and each busy UD's index into them.
+        self._loads, self._load_index = np.unique(np.bincount(partner)[partner],
+                                                  return_inverse=True)
         self._draw_tasks()
         return self.state()
 
@@ -350,8 +359,8 @@ class OffloadEnv:
         e_uc = ce.uav_compute_energy(f_uav, d_prime, ck, kappa)
         t_d2d = ce.d2d_delay(eps2, bits, self._rate_d2d)
         e_d2d = ce.uplink_energy(tx, t_d2d)
-        f_share = f_idle / self._partner_load
-        e_idle = ce.idle_compute_energy(eps2, bits, cyc, f_share, kappa)
+        e_idle = ce.idle_compute_energy(eps2, bits, cyc, f_idle / self._loads, kappa,
+                                        self._load_index)
 
         # Per-UAV and per-idle-UD totals: in a batch, row b's bins follow row
         # b - 1's, so each bin adds its UDs in index order, as a loop would.
@@ -367,7 +376,12 @@ class OffloadEnv:
         e_comp_k = binned(uav_bins, n_uav, e_uc)
         e_idle_j = binned(bins(self._d2d_partner, n_idle), n_idle, e_idle)
         speeds = np.sqrt(np.vecdot(act.velocities, act.velocities))
-        e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
+        if lead:   # rows often share velocities: one power per distinct speed
+            distinct, at = np.unique(speeds, return_inverse=True)
+            e_fly_k = ce.flight_energy(distinct, cfg.world.slot_seconds,
+                                       cfg.energy)[at].reshape(speeds.shape)
+        else:
+            e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
 
         inc = econ.incentive_factors(cfg.caps)
         beta_uav = econ.uav_inconvenience(eps1, cfg.econ)
@@ -375,11 +389,8 @@ class OffloadEnv:
                                                e_fly_k, e_comp_k, beta_uav, cfg.econ))
         u_idle = _running_sums(econ.idle_utility(f_idle, col(act.p_idle),
                                                  e_idle_j, cfg.econ))
-        u_busy_own = econ.busy_own_utility(f_busy, e_loc, e_up, e_d2d,
-                                           inc.u_busy, cfg.econ)
-        (u_busy_own, e_local, e_off_uav, e_off_d2d, t_local, t_off_uav,
-         t_off_d2d) = _running_sums(np.array([
-             per_ud(x) for x in (u_busy_own, e_loc, e_up, e_d2d, t_loc, t_up, t_d2d)]))
+        u_busy_own = _running_sums(per_ud(econ.busy_own_utility(
+            f_busy, e_loc, e_up, e_d2d, inc.u_busy, cfg.econ)))
         u_busy = (u_busy_own
                   + n_idle * econ.busy_purchase_utility(
                       act.f_idle, act.p_idle, inc.u_idle)
@@ -396,22 +407,28 @@ class OffloadEnv:
         used = self._energy_used + (e_fly_k + e_trans_k + e_comp_k)
         f2 = flag((used > cfg.world.battery_j).any(axis=-1), pen.f2)
 
-        # Kinematics and battery drain; the commit re-associates.
-        vel = act.velocities
-        pos = move(w.uav_pos, w.uav_vel, vel, cfg.world.slot_seconds, cfg.world)
+        # The return to the start, on the last slot only.
         f4 = 0.0
         if self.slot + 1 >= cfg.world.n_slots and pen.f4 > 0:
-            disp = np.linalg.norm(pos - self._initial_uav_pos, axis=-1)
+            disp = np.linalg.norm(self._move(act.velocities) - self._initial_uav_pos,
+                                  axis=-1)
             f4 = pen.f4 * np.mean(disp, axis=-1) / cfg.world.area_side
 
         penalty = f1 + f2 + f3 + f4
         rows = dict(q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
-                    f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty,
-                    e_local=e_local, e_off_uav=e_off_uav, e_off_d2d=e_off_d2d,
-                    t_local=t_local, t_off_uav=t_off_uav, t_off_d2d=t_off_d2d)
+                    f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty)
+        ud_terms = dict(e_local=e_loc, e_off_uav=e_up, e_off_d2d=e_d2d,
+                        t_local=t_loc, t_off_uav=t_up, t_off_d2d=t_d2d)
         totals = dict(e_transcode=e_trans_k, e_uav_compute=e_comp_k,
                       e_idle_compute=e_idle_j, e_fly=e_fly_k)
-        return _SlotOutcome(rows=rows, totals=totals, pos=pos, vel=vel, energy_used=used)
+        return _SlotOutcome(rows, {name: per_ud(x) for name, x in ud_terms.items()},
+                            totals, act.velocities, used)
+
+    def _move(self, vel: np.ndarray) -> np.ndarray:
+        """UAV positions L + (K, 3) after one slot at the clamped velocities
+        vel; changes nothing."""
+        w = self.world
+        return move(w.uav_pos, w.uav_vel, vel, self.cfg.world.slot_seconds, self.cfg.world)
 
     def _evaluate_finite(self, act: DecodedAction) -> _SlotOutcome:
         """:meth:`_evaluate`, where every reward is finite. Otherwise raise a
@@ -450,11 +467,12 @@ class OffloadEnv:
         if raw.ndim != 1:
             raise ValueError(f"step takes one action vector, got shape {raw.shape}")
         out = self._evaluate_finite(decode(raw, self.cfg))
-        entry = out.entry(self.slot, self.cfg.world.battery_j)
         # Commit: move the UAVs, drain their batteries, re-associate, and
         # draw the next slot's tasks.
+        pos = self._move(out.vel)
+        entry = out.entry(self.slot, self.cfg.world.battery_j, pos)
         w = self.world
-        w.uav_pos, w.uav_vel = out.pos, out.vel
+        w.uav_pos, w.uav_vel = pos, out.vel
         self._energy_used = out.energy_used
         w.assoc = associate(w.busy_pos, w.uav_pos)
         self._draw_tasks()

@@ -120,8 +120,11 @@ class Td3Agent:
         for tgt, online in zip(self.critic_targets, self.critics):
             soft_update(tgt, online, self.cfg.tau)
 
-    def check_finite(self, step: int) -> None:
-        nets = [self.actor, self.actor_target] + self.critics + self.critic_targets
+    def check_finite(self, step: int, nets: list[Mlp] | None = None) -> None:
+        """Raise DivergenceError naming step if one of nets (by default every
+        net, online and target) holds a non-finite parameter."""
+        if nets is None:
+            nets = [self.actor, self.actor_target] + self.critics + self.critic_targets
         if not all(all_finite(n) for n in nets):
             raise DivergenceError(f"non-finite parameters at step {step}")
 
@@ -152,10 +155,12 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int):
                 y = agent.td_targets(br, bs2, bd)
                 losses = agent.critic_update(bs, ba, y)
                 log.critic_losses.append(losses[0])
-                if agent.critic_update_count % cfg.policy_delay == 0:
+                actor_step = agent.critic_update_count % cfg.policy_delay == 0
+                if actor_step:
                     log.actor_objectives.append(agent.actor_update(bs))
                     agent.sync_targets()
-                agent.check_finite(step)
+                # Only the nets this step changed can have turned non-finite.
+                agent.check_finite(step, None if actor_step else agent.critics)
         log.episode_returns.append(episode_return(e.reward for e in entries))
         log.penalty_totals.append(episode_return(e.penalty for e in entries))
     return log, agent

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numeric_leaves, small_sim
-from uavmec.baseline import greedy_action
+from uavmec import libm
+from uavmec.baseline import greedy_action, steering_velocities
 from uavmec.config import ConfigError, SimConfig
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
+from uavmec.world import associate
 
 
 def _assert_feasible(act, cfg):
@@ -309,28 +311,42 @@ def _mixed_batch(rng, n_rows: int, dim: int) -> np.ndarray:
                            rng.choice([-1.0, 0.0, 1.0], size=(n_rows, dim))])
 
 
+def _shared_velocity_rows(rng, n_rows: int, env) -> np.ndarray:
+    """The 2 * n_rows rows of :func:`_mixed_batch`, shaped as greedy
+    search's: every row takes the env's steering velocity block."""
+    k = env.cfg.world.n_uav
+    rows = _mixed_batch(rng, n_rows, env.action_dim)
+    rows[:, 11:11 + 3 * k] = steering_velocities(env)
+    return rows
+
+
 def _peek_case(name):
     if name == "20-10-5":
         cfg = SimConfig()                # 50 slots, stochastic fading
         cfg.world.battery_j = 5_000.0    # drained within the episode: F2 fires
         return cfg, 8
+    if name == "12-3-2":                 # partner loads {1, 4, 7}
+        return small_sim(n_busy=12, n_idle=3, n_uav=2), 0
     cfg = small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15)
     cfg.deterministic_fading = True
     return cfg, 3
 
 
-def _row_entry(out, b: int, cfg) -> dict:
-    """Row b of a batch outcome as the ledger fields a step would write."""
-    n = len(out.pos)
-    fields = {name: np.broadcast_to(v, (n,))[b] for name, v in out.rows.items()}
-    fields.update({name: v[b].sum() for name, v in out.totals.items()})
-    remaining = np.maximum(cfg.world.battery_j - out.energy_used[b], 0.0)
-    fields["uav_rows"] = np.column_stack([out.pos[b], remaining])
-    return fields
+def _row_entry(env, out, b: int):
+    """Row b of a batch outcome as the ledger entry ``step`` would build:
+    the row's one-action outcome, through ``_SlotOutcome.entry`` at the
+    row's move."""
+    def pick(v):
+        return v[b] if np.ndim(v) else v   # a float is the same for all rows
+
+    row = out._replace(**{
+        name: {k: pick(v) for k, v in x.items()} if isinstance(x, dict) else x[b]
+        for name, x in out._asdict().items()})
+    return row.entry(env.slot, env.cfg.world.battery_j, env._move(row.vel))
 
 
 class TestPeekRewards:
-    @pytest.mark.parametrize("name", ["20-10-5", "6-3-2-deterministic"])
+    @pytest.mark.parametrize("name", ["20-10-5", "6-3-2-deterministic", "12-3-2"])
     def test_rows_equal_single_peeks_and_cloned_steps(self, name):
         cfg, seed = _peek_case(name)
         env = OffloadEnv(cfg, seed)
@@ -338,7 +354,8 @@ class TestPeekRewards:
         flags = set()
         done = False
         while not done:
-            batch = _mixed_batch(rng, 3, env.action_dim)
+            batch = np.concatenate([_mixed_batch(rng, 3, env.action_dim),
+                                    _shared_velocity_rows(rng, 3, env)])
             rewards = env.peek_rewards(batch)
             assert rewards.shape == (len(batch),)
             out = env._evaluate(decode(batch, cfg))
@@ -348,14 +365,44 @@ class TestPeekRewards:
                         == _float_bits(stepped))
                 # Every ledger field, not only the reward, which can round
                 # a last-bit difference in a small term away.
-                for field_name, value in _row_entry(out, b, cfg).items():
-                    assert (np.asarray(value, dtype=float).tobytes()
-                            == np.asarray(getattr(entry, field_name), dtype=float).tobytes()
-                            ), field_name
+                row_entry = _row_entry(env, out, b)
+                for f in dataclasses.fields(entry):
+                    assert (np.asarray(getattr(row_entry, f.name), dtype=float).tobytes()
+                            == np.asarray(getattr(entry, f.name), dtype=float).tobytes()
+                            ), f.name
             _, _, e, done = env.step(batch[0])
             flags |= {f for f in ("f2", "f4") if getattr(e, f) > 0}
         if name == "20-10-5":
             assert flags == {"f2", "f4"}
+
+    def test_greedy_call_powers_once_per_distinct_value(self, monkeypatch):
+        """A greedy peek_rewards call at 20/10/5 takes libm.power over at most
+        B * (L + 4) + 3 * K elements: the idle share squared once per row and
+        distinct partner load, four (B, 1) columns, and flight power's three
+        powers of at most K distinct speeds (the rows share one velocity
+        block). Per UD and UAV it would be B * (I + 4 + 3 * K), 1,053."""
+        env = OffloadEnv(SimConfig(), 0)
+        partner = associate(env.world.busy_pos, env.world.idle_pos)
+        n_loads = len(np.unique(np.bincount(partner)[partner]))
+        n_uav = env.cfg.world.n_uav
+        rows, elements = [], []
+        power, peek = libm.power, env.peek_rewards
+
+        def counted_power(x, y):
+            elements[-1] += np.size(x)
+            return power(x, y)
+
+        def counted_peek(actions):
+            rows.append(len(actions))
+            elements.append(0)
+            return peek(actions)
+
+        monkeypatch.setattr(libm, "power", counted_power)
+        monkeypatch.setattr(env, "peek_rewards", counted_peek)
+        greedy_action(env)
+        assert n_loads == 4 and rows == [27] * 4
+        for b, n in zip(rows, elements):
+            assert n <= b * (n_loads + 4) + 3 * n_uav
 
     def test_permuting_rows_permutes_rewards(self):
         env = OffloadEnv(SimConfig(), 2)

@@ -172,6 +172,37 @@ class TestTraining:
         with pytest.raises(DivergenceError):
             agent.check_finite(step=42)
 
+    def test_divergence_guard_checks_the_nets_named(self):
+        agent = Td3Agent(2, 1, tiny_cfg(), np.random.default_rng(0))
+        agent.actor.weights[0][0, 0] = np.inf
+        agent.check_finite(7, agent.critics)
+        agent.critics[1].biases[0][0] = np.nan
+        with pytest.raises(DivergenceError, match="at step 7$"):
+            agent.check_finite(7, agent.critics)
+
+    @pytest.mark.parametrize("scale,step", [(1e300, 5), (1e100, 6)],
+                             ids=["critic-step", "actor-step"])
+    def test_changed_nets_check_names_the_all_nets_step(self, monkeypatch, scale, step):
+        """Training checks only the critics after a critic-only step; a
+        diverging run still fails at the step that checking all six nets
+        after every step names. The first case diverges on a critic-only
+        step, the second on an actor step."""
+        cfg = tiny_cfg(critic_lr=scale, actor_lr=scale, reward_scale=scale,
+                       warmup_steps=5, batch_size=4, buffer_capacity=100,
+                       hidden=(8, 8))
+        sim = small_sim(n_busy=2, n_idle=1, n_uav=1, n_slots=5)
+
+        def diverged_at():
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                td3_train(lambda s: OffloadEnv(sim, s), cfg, 0)
+            return str(err.value)
+
+        changed = diverged_at()
+        check = Td3Agent.check_finite
+        monkeypatch.setattr(Td3Agent, "check_finite",
+                            lambda agent, at, nets=None: check(agent, at))
+        assert changed == diverged_at() == f"non-finite parameters at step {step}"
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
