@@ -9,9 +9,9 @@ be arrays, one element per UD or UAV; a formula then returns an array of the
 same shape. The split fractions, the busy and UAV compute levels and the
 transcode bitrate are scalars for one action, or (B, 1) columns for a batch
 of B actions, which broadcast against the per-UD axis into one (B, I) row
-per action. The guards for an empty split share and for zero compute then
-act row by row; given scalars they return a scalar where the guard decides
-every element alike.
+per action. A formula returns the broadcast shape of its array arguments,
+whatever its guards decide: no work takes no time, even at zero compute,
+and zero UAV compute burns no transcode energy.
 """
 
 from __future__ import annotations
@@ -24,31 +24,25 @@ from . import libm
 from .config import EnergyParams, TaskParams
 
 
-# The guards test their masks with count_nonzero, not .all()/.any(): on the
-# few elements of a slot it is several times cheaper than a reduction.
-
-def _ratio_or_inf(num, den):
-    """num / den where den > 0 and inf where it is not, elementwise."""
-    if not libm.is_array(den):
-        return num / den if den > 0 else math.inf
-    ok = den > 0
+def _time(work, speed):
+    """The time work takes at speed, elementwise: 0.0 without work, work /
+    speed where speed > 0, else inf. count_nonzero tests the mask: on a slot's
+    few elements it is several times cheaper than .all()."""
+    if not libm.is_array(speed):
+        if speed > 0:
+            return work / speed
+        if not libm.is_array(work):
+            return 0.0 if work == 0.0 else math.inf
+        return np.where(work == 0.0, 0.0, math.inf)
+    ok = speed > 0
     if np.count_nonzero(ok) == ok.size:
-        return num / den
-    return np.where(ok, num / np.where(ok, den, 1.0), math.inf)
-
-
-def _zero_if_no_work(amount, value):
-    """value, but 0.0 wherever amount (a split share or a work size) is
-    zero: no work takes no time."""
-    if not libm.is_array(amount):
-        return 0.0 if amount == 0.0 else value
-    if np.count_nonzero(amount) == amount.size:
-        return value
-    return np.where(amount == 0.0, 0.0, value)
+        return work / speed
+    return np.where(work == 0.0, 0.0,
+                    np.where(ok, work / np.where(ok, speed, 1.0), math.inf))
 
 
 def local_delay(eps3, bits, cycles_per_bit: float, f_local: float):
-    return _zero_if_no_work(eps3, _ratio_or_inf(eps3 * bits * cycles_per_bit, f_local))
+    return _time(eps3 * bits * cycles_per_bit, f_local)
 
 
 def local_energy(eps3, bits, cycles_per_bit: float, f_local: float, kappa: float):
@@ -81,7 +75,7 @@ def flight_energy(v, dt: float, p: EnergyParams):
 
 
 def uplink_delay_uav(eps1, bits, rate_to_assoc_uav):
-    return _zero_if_no_work(eps1, _ratio_or_inf(eps1 * bits, rate_to_assoc_uav))
+    return _time(eps1 * bits, rate_to_assoc_uav)
 
 
 def uplink_energy(tx_power: float, delay):
@@ -94,18 +88,16 @@ def transcode_cycles_per_bit(bitrate_mbps: float, p: EnergyParams) -> float:
 
 
 def transcode_time(cycles_total, f_uav: float):
-    return _zero_if_no_work(cycles_total, _ratio_or_inf(cycles_total, f_uav))
+    return _time(cycles_total, f_uav)
 
 
 def transcode_energy(f_uav: float, time_s, p: EnergyParams):
     # Zero frequency does no work even though the job would never finish
-    # (time_s is inf there); guard avoids 0 * inf.
-    if not libm.is_array(f_uav):
-        return 0.0 if f_uav <= 0.0 else p.s1 * libm.power(f_uav, p.y1) * time_s
+    # (time_s is inf there); the mask avoids 0 * inf.
     idle = f_uav <= 0.0
-    if not np.count_nonzero(idle):
-        return p.s1 * libm.power(f_uav, p.y1) * time_s
-    return np.where(idle, 0.0, p.s1 * libm.power(f_uav, p.y1) * np.where(idle, 0.0, time_s))
+    if np.count_nonzero(idle):
+        time_s = np.where(idle, 0.0, time_s)
+    return p.s1 * libm.power(f_uav, p.y1) * time_s
 
 
 def transcoded_bits(eps1, bits, bitrate_mbps, original_bitrate_mbps: float):
@@ -114,7 +106,7 @@ def transcoded_bits(eps1, bits, bitrate_mbps, original_bitrate_mbps: float):
 
 
 def uav_compute_delay(d_prime, ck: float, f_uav: float):
-    return _zero_if_no_work(d_prime, _ratio_or_inf(d_prime * ck, f_uav))
+    return _time(d_prime * ck, f_uav)
 
 
 def uav_compute_energy(f_uav: float, d_prime, ck: float, kappa: float):
@@ -122,11 +114,11 @@ def uav_compute_energy(f_uav: float, d_prime, ck: float, kappa: float):
 
 
 def d2d_delay(eps2, bits, rate_d2d):
-    return _zero_if_no_work(eps2, _ratio_or_inf(eps2 * bits, rate_d2d))
+    return _time(eps2 * bits, rate_d2d)
 
 
 def idle_compute_delay(eps2, bits, cycles_per_bit: float, f_idle):
-    return _zero_if_no_work(eps2, _ratio_or_inf(eps2 * bits * cycles_per_bit, f_idle))
+    return _time(eps2 * bits * cycles_per_bit, f_idle)
 
 
 def idle_compute_energy(eps2, bits, cycles_per_bit: float, f_idle, kappa: float,

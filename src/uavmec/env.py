@@ -25,11 +25,12 @@ Each quantity is computed when the last thing it depends on is fixed:
   (its nearest idle UD), the D2D path loss ``beta0 * d^-chi`` of that
   static link, and how many busy UDs share each idle UD's compute.
 - Per slot, when the previous step commits (or at ``reset``): the tasks,
-  the fading normals, the UAV association, and the two link rates no
-  action changes, the UAV link's and the D2D link's (the episode's path
-  loss times, under stochastic fading, the slot's scatter gain).
+  the fading normals, the UAV association, the two link rates no action
+  changes, the UAV link's and the D2D link's (the episode's path loss
+  times, under stochastic fading, the slot's scatter gain), and the
+  proximity penalty F1, which reads only the UAV positions.
 - Per action: the split, compute levels, prices, weights, bitrate and
-  velocities, and with them every delay, energy, utility and penalty.
+  velocities, and with them every delay, energy, utility and F2-F4.
   Powers run once per distinct value: the idle compute share squared once
   per distinct partner load (``reset`` keeps those loads), and in a batch
   the flight energy once per distinct UAV speed, gathered back to each row.
@@ -272,9 +273,9 @@ class OffloadEnv:
     def _draw_tasks(self) -> None:
         """Draw the next slot's tasks and, under stochastic fading, its
         fading normals: per busy UD the real and imaginary parts of the UAV
-        link, then of the D2D link. Then fix the slot's link rates, which no
-        action changes: each busy UD to its associated UAV and to its D2D
-        partner."""
+        link, then of the D2D link. Then fix what no action changes: the
+        slot's link rates, each busy UD to its associated UAV and to its D2D
+        partner, and the proximity penalty F1 at the UAVs' positions."""
         cfg = self.cfg
         t = cfg.task
         n_busy = cfg.world.n_busy
@@ -297,6 +298,7 @@ class OffloadEnv:
                                       cfg.chan_uav.noise_power)
         self._rate_d2d = channel.rate(cfg.chan_d2d.bandwidth, tx, g_d2d,
                                       cfg.chan_d2d.noise_power)
+        self._f1 = cfg.penalty.f1 if pairwise_min_distance(w.uav_pos) < cfg.world.d_min else 0.0
 
     def state(self) -> np.ndarray:
         cfg = self.cfg
@@ -326,7 +328,7 @@ class OffloadEnv:
         w = self.world
         kappa = cfg.energy.kappa
         tx = cfg.caps.tx_power
-        n_busy, n_idle, n_uav = cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav
+        n_idle, n_uav = cfg.world.n_idle, cfg.world.n_uav
         lead = act.velocities.shape[:-2]        # () for one action, (B,) for a batch
         n_rows = math.prod(lead)
         bits, cyc = self._bits, self._cycles
@@ -336,9 +338,6 @@ class OffloadEnv:
         # take on their scalar branch, as cheap as Python arithmetic.
         def col(x):
             return x[:, None] if lead else x
-
-        def per_ud(x):   # a scalar guard may have decided all UDs alike
-            return x if libm.is_array(x) else np.full(lead + (n_busy,), x)
 
         def flag(fired, value):   # value where fired, else 0.0
             return np.where(fired, value, 0.0) if lead else (value if fired else 0.0)
@@ -368,7 +367,7 @@ class OffloadEnv:
             return (np.arange(n_rows)[:, None] * n_bins + index).ravel() if lead else index
 
         def binned(index, n_bins, x):
-            return np.bincount(index, weights=per_ud(x).ravel(),
+            return np.bincount(index, weights=x.ravel(),
                                minlength=n_rows * n_bins).reshape(lead + (n_bins,))
 
         uav_bins = bins(w.assoc, n_uav)
@@ -389,8 +388,8 @@ class OffloadEnv:
                                                e_fly_k, e_comp_k, beta_uav, cfg.econ))
         u_idle = _running_sums(econ.idle_utility(f_idle, col(act.p_idle),
                                                  e_idle_j, cfg.econ))
-        u_busy_own = _running_sums(per_ud(econ.busy_own_utility(
-            f_busy, e_loc, e_up, e_d2d, inc.u_busy, cfg.econ)))
+        u_busy_own = _running_sums(econ.busy_own_utility(
+            f_busy, e_loc, e_up, e_d2d, inc.u_busy, cfg.econ))
         u_busy = (u_busy_own
                   + n_idle * econ.busy_purchase_utility(
                       act.f_idle, act.p_idle, inc.u_idle)
@@ -400,7 +399,6 @@ class OffloadEnv:
 
         # Constraint penalties on this slot's configuration.
         pen = cfg.penalty
-        f1 = pen.f1 if (n_uav > 1 and pairwise_min_distance(w.uav_pos) < cfg.world.d_min) else 0.0
         f3 = flag((act.commanded_speeds > cfg.world.v_max * (1 + 1e-12)).any(axis=-1),
                   pen.f3)
         # Every energy term is >= 0, so once used > battery it stays so.
@@ -414,15 +412,14 @@ class OffloadEnv:
                                   axis=-1)
             f4 = pen.f4 * np.mean(disp, axis=-1) / cfg.world.area_side
 
-        penalty = f1 + f2 + f3 + f4
+        penalty = self._f1 + f2 + f3 + f4
         rows = dict(q=q, u_uav=u_uav, u_idle=u_idle, u_busy=u_busy,
-                    f1=f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty)
+                    f1=self._f1, f2=f2, f3=f3, f4=f4, penalty=penalty, reward=q - penalty)
         ud_terms = dict(e_local=e_loc, e_off_uav=e_up, e_off_d2d=e_d2d,
                         t_local=t_loc, t_off_uav=t_up, t_off_d2d=t_d2d)
         totals = dict(e_transcode=e_trans_k, e_uav_compute=e_comp_k,
                       e_idle_compute=e_idle_j, e_fly=e_fly_k)
-        return _SlotOutcome(rows, {name: per_ud(x) for name, x in ud_terms.items()},
-                            totals, act.velocities, used)
+        return _SlotOutcome(rows, ud_terms, totals, act.velocities, used)
 
     def _move(self, vel: np.ndarray) -> np.ndarray:
         """UAV positions L + (K, 3) after one slot at the clamped velocities
@@ -438,13 +435,9 @@ class OffloadEnv:
             out = self._evaluate(act)
         except OverflowError as exc:
             raise ValueError(f"slot {self.slot}: the reward overflows ({exc})") from exc
-        reward = out.rows["reward"]
-        if libm.is_array(reward):
-            finite = np.isfinite(reward)
-            if np.count_nonzero(finite) != finite.size:
-                raise self._not_finite(out.rows, int(np.argmin(finite)))
-        elif not math.isfinite(reward):
-            raise self._not_finite(out.rows)
+        finite = np.isfinite(out.rows["reward"])
+        if np.count_nonzero(finite) != finite.size:
+            raise self._not_finite(out.rows, int(np.argmin(finite)) if finite.ndim else None)
         return out
 
     def _not_finite(self, rows: dict, row: int | None = None) -> ValueError:

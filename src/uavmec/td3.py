@@ -9,6 +9,7 @@ and ``penalty``."""
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,18 +199,31 @@ def save_actor(path: str, actor: Mlp) -> None:
 
 
 def load_actor(path: str) -> Mlp:
-    data = np.load(path, allow_pickle=False)
-    version = int(data["format_version"][0])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    sizes = [int(v) for v in data["sizes"]]
-    net = Mlp(sizes, str(data["out_activation"][0]), np.random.default_rng(0))
-    for key, view in _checkpoint_items(net):
+    """The actor of a :func:`save_actor` checkpoint. A file that is not one
+    (not an .npz archive, a missing or badly shaped entry, a non-finite
+    parameter) raises ValueError("checkpoint <path>: ...")."""
+    def entry(key, shape=None):   # data[key], of that shape, or 1-D for None
         if key not in data:
-            raise ValueError(f"checkpoint lacks '{key}'")
+            raise ValueError(f"lacks '{key}'")
         value = data[key]
-        if value.shape != view.shape:
-            raise ValueError(f"checkpoint '{key}' has shape {value.shape}, "
-                             f"sizes {sizes} need {view.shape}")
-        view[...] = value
-    return net
+        if (value.shape != shape) if shape else (value.ndim != 1):
+            raise ValueError(f"'{key}' has shape {value.shape}, want {shape or '1-D'}")
+        return value
+
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            version = int(entry("format_version", (1,))[0])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            net = Mlp([int(v) for v in entry("sizes")],
+                      str(entry("out_activation", (1,))[0]), np.random.default_rng(0))
+            for key, view in _checkpoint_items(net):
+                view[...] = entry(key, view.shape)
+                if not np.isfinite(view).all():
+                    raise ValueError(f"'{key}' holds non-finite values")
+            return net
+    except (EOFError, zipfile.BadZipFile, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc

@@ -180,3 +180,21 @@ class TestRowGuards:
         d = self.BITS
         self._assert_rows(lambda e1, e2, e3, f: ce.transcode_energy(
             f, ce.transcode_time(e1 * d, f), P))
+
+    def test_array_work_at_zero_scalar_speed(self):
+        # One action at f_busy = 0 (greedy's -1 grid point): the per-UD
+        # work is an array and the speed one float. A UD without work takes
+        # no time; the others never finish. The result has the work's shape.
+        work = np.array([0.0, 2e9, 0.0, 3e9])
+        t = ce.transcode_time(work, 0.0)
+        assert t.shape == work.shape
+        assert t.tolist() == [ce.transcode_time(x, 0.0) for x in work.tolist()]
+        assert t.tolist() == [0.0, math.inf, 0.0, math.inf]
+        bits = np.array([0.0, 1.5e6])
+        assert ce.local_delay(0.5, bits, self.CYC, 0.0).tolist() == [0.0, math.inf]
+
+    def test_transcode_energy_has_the_shape_of_time(self):
+        t = ce.transcode_time(np.array([3e9, 0.0, 1e9]), 0.0)
+        e = ce.transcode_energy(0.0, t, P)
+        assert e.shape == t.shape
+        assert e.tolist() == [0.0, 0.0, 0.0]

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numeric_leaves, small_sim
-from uavmec import libm
-from uavmec.baseline import greedy_action, steering_velocities
+from uavmec import env as env_module, libm
+from uavmec.baseline import greedy_action, greedy_episode, steering_velocities
 from uavmec.config import ConfigError, SimConfig
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
@@ -171,10 +171,43 @@ class TestStep:
         assert e.f3 == sim_cfg.penalty.f3
 
     def test_proximity_penalty_fires(self, sim_cfg):
+        # F1 is fixed per slot, when the slot's tasks are drawn, so a UAV
+        # moved within a slot counts from the next slot on. A zero action
+        # keeps the UAVs where they were put.
         env = OffloadEnv(sim_cfg, 1)
         env.world.uav_pos[1] = env.world.uav_pos[0] + np.array([0.0, 0.0, 1.0])
-        _, _, e, _ = env.step(np.zeros(env.action_dim))
+        a = np.zeros(env.action_dim)
+        env.step(a)
+        _, _, e, _ = env.step(a)
         assert e.f1 == sim_cfg.penalty.f1
+
+    def test_proximity_distance_once_per_slot(self, monkeypatch):
+        # The UAV positions change only at a commit, so a 50-slot greedy
+        # episode takes the pairwise distance at reset and at each of its
+        # 50 commits, and never while scoring probes.
+        calls, peeking = [], []
+        distance = env_module.pairwise_min_distance
+        peek = OffloadEnv.peek_rewards
+
+        def counted(pos):
+            calls.append(bool(peeking))
+            return distance(pos)
+
+        def peek_rewards(self, actions):
+            peeking.append(True)
+            try:
+                return peek(self, actions)
+            finally:
+                peeking.pop()
+
+        monkeypatch.setattr(env_module, "pairwise_min_distance", counted)
+        monkeypatch.setattr(OffloadEnv, "peek_rewards", peek_rewards)
+        cfg = SimConfig()
+        assert (cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav,
+                cfg.world.n_slots) == (20, 10, 5, 50)
+        greedy_episode(cfg, 0)
+        assert len(calls) == 51
+        assert not any(calls)
 
     def test_battery_penalty_fires_and_sticks(self):
         cfg = small_sim(n_slots=6)

@@ -327,6 +327,41 @@ class TestCli:
                            f"state inputs and {env.action_dim} actions")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("fault,reason", [
+        ("missing-key", "lacks 'format_version'"),
+        ("bad-shape", "'w0' has shape (3,), want "),
+        ("non-finite", "'b1' holds non-finite values"),
+        ("text-file", ""),
+    ])
+    def test_malformed_checkpoint_reports_error_json(self, out_root, tmp_path, capsys,
+                                                     fault, reason):
+        # Before, a missing entry ended in a KeyError traceback with exit 1,
+        # and a text file printed numpy's message, naming no file.
+        cfg = tiny_experiment(seeds=(0,))
+        path = self._write_cfg(tmp_path, cfg)
+        env = OffloadEnv(cfg.sim, 0)
+        ckpt = str(tmp_path / "actor.npz")
+        save_actor(ckpt, Mlp([env.state_dim, 4, env.action_dim], "tanh",
+                             np.random.default_rng(0)))
+        arrays = dict(np.load(ckpt))
+        if fault == "missing-key":
+            del arrays["format_version"]
+        elif fault == "bad-shape":
+            arrays["w0"] = np.zeros(3)
+        elif fault == "non-finite":
+            arrays["b1"][0] = np.nan
+        np.savez(ckpt, **arrays)
+        if fault == "text-file":
+            with open(ckpt, "w") as fh:
+                fh.write("not a checkpoint\n")
+        out = str(tmp_path / "traj.csv")
+        assert cli.main(["trajectory", ckpt, path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and err.count("\n") == 1
+        assert json.loads(err[len("ERROR "):])["error"].startswith(
+            f"checkpoint {ckpt}: {reason}")
+        assert not os.path.exists(out)
+
     def test_baseline_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(
             tmp_path, tiny_experiment(algorithms=("greedy",), seeds=(0,)))
