@@ -3,6 +3,9 @@ and generalized advantage estimation."""
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .config import PpoConfig
@@ -46,19 +49,37 @@ class PpoAgent:
         return self.value_net.forward(s)[:, 0]
 
     def update(self, s, a_raw, logp_old, adv, returns) -> tuple[float, float]:
+        """cfg.epochs passes over the samples in shuffled minibatches; returns
+        the last minibatch's (policy loss, value loss).
+
+        The policy chain (mean net, log-std, policy optimizer) and the value
+        chain (value net, value optimizer) share no parameter and only read
+        the samples, and the value chain draws no random numbers. So the
+        value chain runs on a worker thread while this thread runs the
+        policy chain, each doing exactly the operations of a serial loop;
+        numpy releases the GIL in their matrix products and large ufuncs.
+        The worker runs in a copy of this thread's context, so it keeps the
+        caller's ``np.errstate``."""
         cfg = self.cfg
         n = s.shape[0]
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         idx_rng = np.random.default_rng(self.rng.integers(2 ** 63))
-        policy_loss = value_loss = 0.0
-        for _ in range(cfg.epochs):
-            order = idx_rng.permutation(n)
-            for start in range(0, n, cfg.minibatch_size):
-                mb = order[start:start + cfg.minibatch_size]
-                policy_loss = self._policy_step(s[mb], a_raw[mb],
-                                                logp_old[mb], adv[mb])
-                value_loss = self._value_step(s[mb], returns[mb])
-        return policy_loss, value_loss
+        batches = [order[start:start + cfg.minibatch_size]
+                   for order in [idx_rng.permutation(n) for _ in range(cfg.epochs)]
+                   for start in range(0, n, cfg.minibatch_size)]
+
+        def value_chain() -> float:
+            loss = 0.0
+            for mb in batches:
+                loss = self._value_step(s[mb], returns[mb])
+            return loss
+
+        policy_loss = 0.0
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            value_loss = pool.submit(contextvars.copy_context().run, value_chain)
+            for mb in batches:
+                policy_loss = self._policy_step(s[mb], a_raw[mb], logp_old[mb], adv[mb])
+        return policy_loss, value_loss.result()
 
     def _policy_step(self, s, a_raw, logp_old, adv) -> float:
         cfg = self.cfg

@@ -211,10 +211,10 @@ def load_actor(path: str) -> Mlp:
         return value
 
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
+        with open(path, "rb") as fh:   # np.savez writes a zip: local header first
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an .npz archive")
+        with np.load(path, allow_pickle=False) as data:
             version = int(entry("format_version", (1,))[0])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")

@@ -331,12 +331,14 @@ class TestCli:
         ("missing-key", "lacks 'format_version'"),
         ("bad-shape", "'w0' has shape (3,), want "),
         ("non-finite", "'b1' holds non-finite values"),
-        ("text-file", ""),
+        ("text-file", "not an .npz archive"),
+        ("npy-file", "not an .npz archive"),
     ])
     def test_malformed_checkpoint_reports_error_json(self, out_root, tmp_path, capsys,
                                                      fault, reason):
         # Before, a missing entry ended in a KeyError traceback with exit 1,
-        # and a text file printed numpy's message, naming no file.
+        # and a text file printed numpy's message, naming no file; then its
+        # reason was numpy's, about pickled data and allow_pickle.
         cfg = tiny_experiment(seeds=(0,))
         path = self._write_cfg(tmp_path, cfg)
         env = OffloadEnv(cfg.sim, 0)
@@ -354,6 +356,9 @@ class TestCli:
         if fault == "text-file":
             with open(ckpt, "w") as fh:
                 fh.write("not a checkpoint\n")
+        elif fault == "npy-file":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, arrays["w0"])
         out = str(tmp_path / "traj.csv")
         assert cli.main(["trajectory", ckpt, path, "--out", out]) == 2
         err = capsys.readouterr().err
@@ -465,15 +470,26 @@ class TestCli:
         # A failed cell writes no curve: neither file holds a partial table.
         assert not list(out_root.rglob("*.csv"))
 
-    @pytest.mark.parametrize("case", ["kappa", "diverging"])
+    @pytest.mark.parametrize("case", ["kappa", "diverging", "ppo"])
     def test_stderr_is_one_error_line(self, out_root, tmp_path, case):
         # In a child process, where nothing captures numpy's warnings: before,
-        # RuntimeWarning lines came ahead of the ERROR line.
+        # RuntimeWarning lines came ahead of the ERROR line. The ppo cell
+        # overflows in the value chain, which PpoAgent.update runs on a worker
+        # thread: a worker that does not carry the CLI's np.errstate prints
+        # warnings from nets.py and ppo.py.
         if case == "kappa":
             cfg = tiny_experiment(sim=small_sim(n_slots=3), algorithms=("greedy",),
                                   seeds=(0,))
             cfg.sim.energy.kappa = 1e300
             command = "baseline"
+        elif case == "ppo":
+            cfg = tiny_experiment(
+                sim=small_sim(n_busy=2, n_idle=1, n_uav=1, n_slots=5),
+                ppo=PpoConfig(lr=1e100, reward_scale=1e100, episodes=3,
+                              rollout_episodes=1, epochs=2, minibatch_size=4,
+                              hidden=(8, 8)),
+                algorithms=("ppo",), seeds=(0,))
+            command = "run"
         else:
             cfg = self._diverging_experiment()
             command = "run"

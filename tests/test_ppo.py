@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,39 @@ class TestAgent:
         assert agent.log_std is held
         assert agent.policy_opt.params[1] is held
         assert held[0] == LOG_STD_MAX
+
+    def test_update_equals_the_serial_loop_under_frequent_switches(self):
+        # update() runs the value chain on a worker thread. The reference runs
+        # each minibatch's policy step, then its value step, on one thread.
+        # With the interpreter switching threads every microsecond, the
+        # losses and every parameter must still match bit for bit.
+        cfg = PpoConfig(hidden=(32, 32), epochs=3, minibatch_size=16)
+        rng = np.random.default_rng(0)
+        n, s_dim, a_dim = 50, 6, 3
+        s, a_raw = rng.normal(size=(n, s_dim)), rng.normal(size=(n, a_dim))
+        logp_old, adv, returns = rng.normal(size=(3, n))
+        ref, agent = (PpoAgent(s_dim, a_dim, cfg, np.random.default_rng(1))
+                      for _ in range(2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
+                idx_rng = np.random.default_rng(ref.rng.integers(2 ** 63))
+                for _ in range(cfg.epochs):
+                    order = idx_rng.permutation(n)
+                    for start in range(0, n, cfg.minibatch_size):
+                        mb = order[start:start + cfg.minibatch_size]
+                        want = (ref._policy_step(s[mb], a_raw[mb], logp_old[mb],
+                                                 adv_n[mb]),
+                                ref._value_step(s[mb], returns[mb]))
+                assert agent.update(s, a_raw, logp_old, adv, returns) == want
+        finally:
+            sys.setswitchinterval(interval)
+        for want_bits, got_bits in ((ref.mean_net.flat, agent.mean_net.flat),
+                                    (ref.log_std, agent.log_std),
+                                    (ref.value_net.flat, agent.value_net.flat)):
+            assert got_bits.tobytes() == want_bits.tobytes()
 
 
 class TestTraining:
