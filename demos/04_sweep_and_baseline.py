@@ -8,13 +8,13 @@ UAVs, more idle helpers, and more UAV compute.
 
 import numpy as np
 
-from uavmec.baseline import greedy_baseline, zeros_baseline
+from uavmec.baseline import greedy_episode, zeros_baseline
 from uavmec.config import SimConfig, WorldConfig, apply_axis
 
 base = SimConfig(world=WorldConfig(n_busy=4, n_idle=2, n_uav=2, n_slots=10))
 
 print("greedy vs zero-action policy (seed 0):",
-      f"{greedy_baseline(base, 0):.0f} vs {zeros_baseline(base, 0):.0f}")
+      f"{greedy_episode(base, 0)[0]:.0f} vs {zeros_baseline(base, 0):.0f}")
 
 for axis, values in (("n_uav", [1, 2, 3]),
                      ("n_idle", [1, 2, 4]),
@@ -22,7 +22,7 @@ for axis, values in (("n_uav", [1, 2, 3]),
     means = []
     for v in values:
         sim = apply_axis(base, axis, v)
-        means.append(np.mean([greedy_baseline(sim, s) for s in range(5)]))
+        means.append(np.mean([greedy_episode(sim, s)[0] for s in range(5)]))
     pretty = [f"{v/1e9:.0f} GHz" if axis == "f_k_max" else str(v) for v in values]
     print(f"{axis:8s}: " + "   ".join(f"{p} -> {m:.0f}"
                                       for p, m in zip(pretty, means)))

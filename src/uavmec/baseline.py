@@ -80,12 +80,6 @@ def greedy_episode(cfg: SimConfig, seed: int):
     return episode_return(e.reward for e in entries), entries
 
 
-def greedy_baseline(cfg: SimConfig, seed: int) -> float:
-    """Episode return of the greedy policy; deterministic per (cfg, seed)."""
-    total, _ = greedy_episode(cfg, seed)
-    return total
-
-
 def zeros_baseline(cfg: SimConfig, seed: int) -> float:
     """Episode return of the all-zeros raw action (comparison policy)."""
     env = OffloadEnv(cfg, seed)

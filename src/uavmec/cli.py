@@ -9,8 +9,8 @@ Subcommands:
 
 Output root defaults to the config's output_dir and may be overridden with
 the UAVMEC_OUTPUT_ROOT environment variable. Exit code 0 on success; on
-failure (a bad config or file, or a failed cell, named as
-``<axis>=<value>: <algorithm> seed <seed>: ...``) one machine-readable
+failure (a bad config or file, a run out of memory, or a failed cell, named
+as ``<axis>=<value>: <algorithm> seed <seed>: ...``) one machine-readable
 ``ERROR {json}`` line, and nothing else, goes to stderr and the exit code is 2.
 """
 
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             cfg.algorithms = ("greedy",)
             for _, _, seed, returns, _ in harness.cells(cfg):
                 print(f"seed={seed} return={float(returns[0])!r}")
-    except (ConfigError, DivergenceError, OSError, ValueError) as exc:
+    except (ConfigError, DivergenceError, MemoryError, OSError, ValueError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     return 0

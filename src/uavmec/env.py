@@ -63,8 +63,7 @@ import numpy as np
 
 from . import channel, compute_energy as ce, economics as econ, libm
 from .config import SimConfig
-from .world import (WorldState, associate, clamp_velocity, move,
-                    pairwise_min_distance, spawn_world)
+from .world import associate, clamp_velocity, move, pairwise_min_distance, spawn_world
 
 
 @dataclass
@@ -229,10 +228,6 @@ class OffloadEnv:
     def __init__(self, cfg: SimConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
-        self._seed = seed
-        self.world: WorldState | None = None
-        self.slot = 0
-        self.done = True
         self.reset(seed)
 
     @property
@@ -244,10 +239,13 @@ class OffloadEnv:
         return action_length(self.cfg.world.n_uav)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            if seed < 0:
-                raise ValueError(f"seed must be nonnegative, got {seed!r}")
-            self._seed = seed
+        if seed is None:   # the last seed again; at construction there is none
+            seed = getattr(self, "_seed", None)
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed!r}")
+        self._seed = seed
         self.world = spawn_world(self.cfg.world, self._seed)
         self.rng = np.random.default_rng([self._seed, 0xE17])
         self.slot = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from .baseline import greedy_baseline
+from .baseline import greedy_episode
 from .config import ExperimentConfig, SimConfig, apply_axis
 from .env import LedgerEntry, OffloadEnv, rollout
 from .nets import Mlp
@@ -28,12 +28,8 @@ class RunArtifact:
     metadata: str | None = None
 
 
-def output_root(cfg: ExperimentConfig) -> str:
-    return os.environ.get("UAVMEC_OUTPUT_ROOT", cfg.output_dir)
-
-
 def _prepare_dir(cfg: ExperimentConfig, name: str) -> str:
-    run_dir = os.path.join(output_root(cfg), name)
+    run_dir = os.path.join(os.environ.get("UAVMEC_OUTPUT_ROOT", cfg.output_dir), name)
     os.makedirs(run_dir, exist_ok=True)
     return run_dir
 
@@ -62,7 +58,7 @@ def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
 def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
     """(per-episode returns, trained actor or None) of one cell."""
     if algo == "greedy":
-        return [greedy_baseline(sim, seed)], None
+        return [greedy_episode(sim, seed)[0]], None
     def factory(s):
         return OffloadEnv(sim, s)
     if algo == "ppo":

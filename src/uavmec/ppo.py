@@ -34,11 +34,11 @@ class PpoAgent:
         return self.mean_net.forward(s)[0]
 
     def sample_action(self, s: np.ndarray):
+        """(a, log-probability of a) for a drawn around the mean; decode clips a."""
         mu = self.mean_net.forward(s)[0]
         std = np.exp(self.log_std)
         a = mu + std * self.rng.standard_normal(mu.shape)
-        logp = self._log_prob(a[None, :], mu[None, :])[0]
-        return np.clip(a, -1.0, 1.0), a, logp
+        return a, self._log_prob(a[None, :], mu[None, :])[0]
 
     def _log_prob(self, a: np.ndarray, mu: np.ndarray) -> np.ndarray:
         std = np.exp(self.log_std)
@@ -135,12 +135,12 @@ def ppo_train(env_factory, cfg: PpoConfig, seed: int):
     log = TrainLog()
 
     def policy(s):   # records what the update reads, in the lists of this batch
-        a_env, a_raw, logp = agent.sample_action(s)
+        a, logp = agent.sample_action(s)
         values.append(float(agent.value(s[None, :])[0]))
         states.append(s)
-        actions.append(a_raw)
+        actions.append(a)
         logps.append(logp)
-        return a_env
+        return a
 
     episodes_done = 0
     while episodes_done < cfg.episodes:

@@ -218,10 +218,13 @@ def load_actor(path: str) -> Mlp:
             version = int(entry("format_version", (1,))[0])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            net = Mlp([int(v) for v in entry("sizes")],
-                      str(entry("out_activation", (1,))[0]), np.random.default_rng(0))
-            for key, view in _checkpoint_items(net):
-                view[...] = entry(key, view.shape)
+            sizes = [int(v) for v in entry("sizes")]
+            # Shapes first: sizes alone could ask for any amount of memory.
+            params = [entry(f"w{i}", (m, n)) for i, (m, n) in enumerate(zip(sizes, sizes[1:]))]
+            params += [entry(f"b{i}", (n,)) for i, n in enumerate(sizes[1:])]
+            net = Mlp(sizes, str(entry("out_activation", (1,))[0]), np.random.default_rng(0))
+            for (key, view), value in zip(_checkpoint_items(net), params):
+                view[...] = value
                 if not np.isfinite(view).all():
                     raise ValueError(f"'{key}' holds non-finite values")
             return net

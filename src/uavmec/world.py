@@ -14,7 +14,6 @@ NO_PAIR_DISTANCE = math.inf
 
 @dataclass
 class WorldState:
-    cfg: WorldConfig
     busy_pos: np.ndarray       # (I, 3), z = 0
     idle_pos: np.ndarray       # (J, 3), z = 0
     uav_pos: np.ndarray        # (K, 3) meters
@@ -37,7 +36,7 @@ def spawn_world(cfg: WorldConfig, seed: int) -> WorldState:
     uav_pos = rng.uniform((0.0, 0.0, cfg.h_min),
                           (cfg.area_side, cfg.area_side, cfg.h_max),
                           size=(cfg.n_uav, 3))
-    return WorldState(cfg=cfg, busy_pos=busy, idle_pos=idle, uav_pos=uav_pos,
+    return WorldState(busy_pos=busy, idle_pos=idle, uav_pos=uav_pos,
                       uav_vel=np.zeros((cfg.n_uav, 3)),
                       assoc=associate(busy, uav_pos))
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.stats
 
-from uavmec.baseline import greedy_baseline
+from uavmec.baseline import greedy_episode
 from uavmec.config import (ChannelParams, EconParams, ExperimentConfig,
                            PenaltyConfig, SimConfig, Td3Config, WorldConfig,
                            apply_axis, load_experiment)
@@ -436,7 +436,7 @@ class TestRevenueTrends:
             means, stds = [], []
             for v in values:
                 sim = apply_axis(TREND_BASE, axis, v)
-                rets = [greedy_baseline(sim, s) for s in range(10)]
+                rets = [greedy_episode(sim, s)[0] for s in range(10)]
                 means.append(float(np.mean(rets)))
                 stds.append(float(np.std(rets)))
             viol = [(i, means[i] - means[i + 1])

@@ -18,15 +18,15 @@ Regenerate (only for a deliberate change of results, stated in
 """
 
 import hashlib
-import json
 import os
 import sys
 import tempfile
 
+import streams
 from uavmec import harness
 from uavmec.config import ExperimentConfig, PpoConfig, SimConfig, Td3Config
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "artifact_stream.json")
+FIXTURE = "artifact_stream.json"
 
 
 def _experiment(output_dir: str) -> ExperimentConfig:
@@ -67,26 +67,16 @@ def test_artifacts_match_fixture(tmp_path, monkeypatch):
     # Every recorded file, byte for byte. A file that a later change adds is
     # pinned once the fixture is regenerated.
     monkeypatch.delenv("UAVMEC_OUTPUT_ROOT", raising=False)
-    with open(FIXTURE, encoding="utf-8") as fh:
-        want = json.load(fh)
+    want = streams.load(FIXTURE)
     got = artifact_hashes(str(tmp_path))
     assert {name: got.get(name) for name in want} == want
 
 
-def main(argv) -> int:
-    if argv != ["--write"]:
-        print(__doc__)
-        return 2
+def _record() -> dict:
     os.environ.pop("UAVMEC_OUTPUT_ROOT", None)
     with tempfile.TemporaryDirectory() as tmp:
-        out = artifact_hashes(tmp)
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
-    return 0
+        return artifact_hashes(tmp)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(streams.main(sys.argv[1:], __doc__, FIXTURE, _record))

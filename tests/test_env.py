@@ -57,6 +57,24 @@ class TestReset:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
             env.reset(-2)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "3", True, np.float64(2.0)],
+                             ids=["none", "float", "str", "bool", "numpy-float"])
+    def test_non_integer_seed_named(self, sim_cfg, seed):
+        # Before the check None, 1.5 and "3" each raised a different
+        # TypeError, and True silently ran seed 1.
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            OffloadEnv(sim_cfg, seed)
+        env = OffloadEnv(sim_cfg, 4)
+        if seed is not None:   # reset(None) replays the last seed
+            with pytest.raises(ValueError, match=message):
+                env.reset(seed)
+        assert np.array_equal(env.reset(), OffloadEnv(sim_cfg, 4).state())
+
+    def test_numpy_integer_seed_accepted(self, sim_cfg):
+        assert np.array_equal(OffloadEnv(sim_cfg, np.int64(3)).reset(np.uint8(5)),
+                              OffloadEnv(sim_cfg, 5).state())
+
     def test_fixed_cycle_density_is_finite(self):
         cfg = small_sim()
         cfg.task.cycles_per_bit_min = 1100.0

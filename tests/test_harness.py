@@ -24,6 +24,7 @@ from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.nets import Mlp
+from uavmec.replay import ReplayBuffer
 from uavmec.td3 import load_actor, save_actor, td3_train
 
 
@@ -503,6 +504,26 @@ class TestCli:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
+
+    def test_out_of_memory_reports_error_json(self, out_root, tmp_path, capsys,
+                                              monkeypatch):
+        # Before, a replay buffer larger than the machine's memory ended in a
+        # MemoryError traceback with exit 1. The allocation fails on purpose
+        # here, so the case does not hang on how the host overcommits memory.
+        def no_memory(self, capacity, state_dim, action_dim, rng):
+            raise MemoryError(f"Unable to allocate an array with shape "
+                              f"({capacity}, {state_dim}) and data type float64")
+
+        monkeypatch.setattr(ReplayBuffer, "__init__", no_memory)
+        cfg = tiny_experiment(seeds=(0,))
+        cfg.td3.buffer_capacity = 1_000_000_000
+        path = self._write_cfg(tmp_path, cfg)
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and err.count("\n") == 1
+        assert json.loads(err[len("ERROR "):])["error"].startswith(
+            "Unable to allocate an array with shape (1000000000, ")
+        assert not list(out_root.rglob("*.csv"))
 
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2

@@ -15,19 +15,18 @@ Regenerate (only for a deliberate change of learning semantics, stated in
 """
 
 import hashlib
-import json
-import os
 import sys
 
 import numpy as np
 import pytest
 
+import streams
 from uavmec.config import PpoConfig, SimConfig, Td3Config
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.td3 import ddpg_train, td3_train
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "learner_stream.json")
+FIXTURE = "learner_stream.json"
 
 
 def _env_factory(seed):
@@ -81,34 +80,21 @@ def run_case(name: str) -> tuple[list[str], str]:
     return [repr(float(r)) for r in log.episode_returns], digest.hexdigest()
 
 
-def _fixture() -> dict:
-    with open(FIXTURE, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_learner_matches_fixture(name):
-    want = _fixture()[name]
+    want = streams.load(FIXTURE)[name]
     returns, sha = run_case(name)
     assert returns == want["returns"]
     assert sha == want["sha256"]
 
 
-def main(argv) -> int:
-    if argv != ["--write"]:
-        print(__doc__)
-        return 2
+def _record() -> dict:
     out = {}
     for name in CASES:
         returns, sha = run_case(name)
         out[name] = {"returns": returns, "sha256": sha}
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
-    return 0
+    return out
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(streams.main(sys.argv[1:], __doc__, FIXTURE, _record))

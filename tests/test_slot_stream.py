@@ -23,18 +23,17 @@ Regenerate (only for a deliberate change of reward semantics, stated in
 
 import dataclasses
 import hashlib
-import json
-import os
 import sys
 
 import numpy as np
 import pytest
 
+import streams
 from uavmec.baseline import greedy_action
 from uavmec.config import SimConfig
 from uavmec.env import OffloadEnv, decode, episode_return, transitions
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "slot_stream.json")
+FIXTURE = "slot_stream.json"
 
 
 def _sized(n_busy, n_idle, n_uav, **world) -> SimConfig:
@@ -137,14 +136,9 @@ def run_greedy_case(name: str) -> tuple[list[str], str]:
     return returns, digest.hexdigest()
 
 
-def _fixture() -> dict:
-    with open(FIXTURE, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stream_matches_fixture(name):
-    want = _fixture()[name]
+    want = streams.load(FIXTURE)[name]
     rewards, sha = run_case(name)
     assert rewards == want["rewards"]
     assert sha == want["sha256"]
@@ -152,21 +146,18 @@ def test_stream_matches_fixture(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_saturated_batches_match_fixture(name):
-    assert run_batch_case(name) == _fixture()[f"batch {name}"]["sha256"]
+    assert run_batch_case(name) == streams.load(FIXTURE)[f"batch {name}"]["sha256"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_greedy_episodes_match_fixture(name):
-    want = _fixture()[f"greedy {name}"]
+    want = streams.load(FIXTURE)[f"greedy {name}"]
     returns, sha = run_greedy_case(name)
     assert returns == want["returns"]
     assert sha == want["sha256"]
 
 
-def main(argv) -> int:
-    if argv != ["--write"]:
-        print(__doc__)
-        return 2
+def _record() -> dict:
     out = {}
     for name in CASES:
         rewards, sha = run_case(name)
@@ -176,13 +167,8 @@ def main(argv) -> int:
     for name in CASES:
         returns, sha = run_greedy_case(name)
         out[f"greedy {name}"] = {"returns": returns, "sha256": sha}
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
-    return 0
+    return out
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(streams.main(sys.argv[1:], __doc__, FIXTURE, _record))

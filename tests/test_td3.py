@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import BanditEnv, RecordingEnv, left_to_right_sum, small_sim
 from uavmec.config import Td3Config
+from uavmec import td3
 from uavmec.env import OffloadEnv
 from uavmec.nets import Mlp
 from uavmec.td3 import (DivergenceError, Td3Agent, ddpg_train, load_actor,
@@ -222,6 +225,22 @@ class TestCheckpoint:
         arrays[key] = np.zeros(arrays[key].size + 1)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"'{key}'"):
+            load_actor(path)
+
+    def test_shapes_checked_before_the_net_is_built(self, tmp_path, monkeypatch):
+        # Before, load_actor built Mlp(sizes) first: these sizes asked for
+        # 298 GiB before the stored 2x2 w0 was compared with them.
+        path = str(tmp_path / "actor.npz")
+        np.savez(path, format_version=np.array([1]), sizes=np.array([200000, 200000, 3]),
+                 out_activation=np.array(["tanh"]), w0=np.zeros((2, 2)),
+                 w1=np.zeros((2, 3)), b0=np.zeros(2), b1=np.zeros(3))
+
+        def no_net(*args):
+            raise AssertionError("the net was built before its shapes were checked")
+
+        monkeypatch.setattr(td3, "Mlp", no_net)
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: 'w0' has shape (2, 2), want (200000, 200000)")):
             load_actor(path)
 
     def test_missing_key_named(self, tmp_path):

@@ -121,8 +121,8 @@ class TestAssociate:
     def test_at_most_one_uav_per_busy(self):
         w = spawn_world(cfg(), 5)
         # one association index per busy UD by construction
-        assert len(w.assoc) == w.cfg.n_busy
-        assert all(0 <= k < w.cfg.n_uav for k in w.assoc)
+        assert len(w.assoc) == len(w.busy_pos)
+        assert all(0 <= k < len(w.uav_pos) for k in w.assoc)
 
 
 def _associate_by_norm(busy_pos, uav_pos):
