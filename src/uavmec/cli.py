@@ -9,8 +9,8 @@ Subcommands:
 
 Output root defaults to the config's output_dir and may be overridden with
 the UAVMEC_OUTPUT_ROOT environment variable. Exit code 0 on success; on
-failure (a bad config or file, a run out of memory, or a failed cell, named
-as ``<axis>=<value>: <algorithm> seed <seed>: ...``) one machine-readable
+failure (a bad config or file, or a failed cell, out of memory included,
+named as ``<axis>=<value>: <algorithm> seed <seed>: ...``) one machine-readable
 ``ERROR {json}`` line, and nothing else, goes to stderr and the exit code is 2.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,8 +80,7 @@ def main(argv=None) -> int:
             harness.export_trajectory(actor, cfg.sim, args.seed, args.out)
             print(f"trajectory CSV: {args.out}")
         elif args.command == "baseline":
-            cfg = load_experiment(args.config)
-            cfg.algorithms = ("greedy",)
+            cfg = replace(load_experiment(args.config), algorithms=("greedy",))
             for _, _, seed, returns, _ in harness.cells(cfg):
                 print(f"seed={seed} return={float(returns[0])!r}")
     except (ConfigError, DivergenceError, MemoryError, OSError, ValueError) as exc:

@@ -6,11 +6,15 @@ Every field can be overridden from a JSON config file.
 
 Each field states its domain once, in its annotation: its type and, for most
 numbers, a :class:`Domain` such as :data:`Positive` or :data:`Count`. Every
-float must also be finite. One walker, :func:`_typed`, checks all of this at
-every depth, both for a JSON object being loaded and in ``validate()``; only
-the rules that span fields are code, in each section's ``_rules``. Unknown,
+float must also be finite. One walker, :func:`_typed`, checks all of this,
+both for a JSON object being loaded and when a section is built; only the
+rules that span fields are code, in each section's ``_rules``. Unknown,
 ill-typed or out-of-domain fields raise :class:`ConfigError` naming the
 dotted path and the value.
+
+Sections are frozen: a config that exists has been checked and stays as it
+was checked, so no consumer checks it again. :func:`replace_at` derives a
+changed copy.
 """
 
 import dataclasses
@@ -52,15 +56,26 @@ Fraction = Annotated[float, Domain("must lie in (0, 1)", lambda v: 0 < v < 1)]
 
 
 class _Section:
-    """A config dataclass. ``validate()`` checks every field against its
-    annotation, at every depth, then each section's cross-field rules."""
+    """A frozen config dataclass. Building one checks every field against
+    its annotation, then the section's cross-field rules; a section field
+    holds a section that was checked when it was built."""
 
     # Where the section sits in an ExperimentConfig, so that the errors of
-    # a validate() called on the section alone name the same paths.
+    # a section built alone name the same paths.
     home: ClassVar[str] = ""
 
+    def __post_init__(self) -> None:
+        prefix = f"{self.home}." if self.home else ""
+        for name, spec in _fields(type(self)).items():
+            # As typed: a list given for a tuple field is stored as a tuple.
+            object.__setattr__(self, name, _typed(getattr(self, name), spec, prefix + name))
+        self._rules(self.home)
+
     def validate(self) -> None:
-        _typed(self, _spec(type(self)), self.home)
+        """Check the section again. Construction has already done so, and
+        the section is frozen, so this raises only if a caller went round
+        the freeze."""
+        self.__post_init__()
 
     def _rules(self, at: str) -> None:
         """Rules that span fields, checked after every field; at is this
@@ -73,7 +88,7 @@ def _ordered(section: _Section, at: str, low: str, high: str) -> None:
         raise ConfigError(f"{at}.{low} must not exceed {at}.{high}, got {lo!r} > {hi!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldConfig(_Section):
     home = "sim.world"
     area_side: Positive = 200.0
@@ -94,7 +109,7 @@ class WorldConfig(_Section):
                               f"got {self.h_min!r} >= {self.h_max!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams(_Section):
     """Per-link-class fading/rate parameters.
 
@@ -114,7 +129,7 @@ def d2d_channel_defaults() -> ChannelParams:
     return ChannelParams(beta0=1e-5, chi=3.0, rician_k=0.0, noise_power=1e-13, bandwidth=10e6)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyParams(_Section):
     home = "sim.energy"
     kappa: Positive = 1e-27
@@ -132,7 +147,7 @@ class EnergyParams(_Section):
     rotor_solidity: Positive = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class EconParams(_Section):
     home = "sim.econ"
     p_uav_min: Positive = 0.1
@@ -153,7 +168,7 @@ class EconParams(_Section):
         _ordered(self, at, "p_idle_min", "p_idle_max")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskParams(_Section):
     home = "sim.task"
     d_min_bits: Positive = 1.5e6
@@ -174,7 +189,7 @@ class TaskParams(_Section):
                 f"{self.original_bitrate_mbps!r}, got {tuple(self.bitrate_ladder)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComputeCaps(_Section):
     home = "sim.caps"
     f_busy_max: Positive = 1.5e9
@@ -185,7 +200,7 @@ class ComputeCaps(_Section):
     tx_power: Positive = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class PenaltyConfig(_Section):
     home = "sim.penalty"
     f1: NonNegative = 50.0   # UAV pair closer than d_min
@@ -194,7 +209,7 @@ class PenaltyConfig(_Section):
     f4: NonNegative = 20.0   # terminal return-to-start shortfall, scaled by displacement
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig(_Section):
     home = "sim"
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -209,7 +224,7 @@ class SimConfig(_Section):
     deterministic_fading: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Td3Config(_Section):
     home = "td3"
     gamma: Fraction = 0.98
@@ -235,7 +250,7 @@ class Td3Config(_Section):
                               f"< {self.batch_size!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PpoConfig(_Section):
     home = "ppo"
     gamma: Fraction = 0.98
@@ -255,9 +270,18 @@ ALGORITHMS = ("td3", "ddpg", "ppo", "greedy")
 Algorithm = Annotated[str, Domain(f"must be one of {', '.join(ALGORITHMS)}",
                                   lambda v: v in ALGORITHMS)]
 
-# Sweep axis -> the (SimConfig section, field) it sets.
-SWEEP_AXES = {"n_uav": ("world", "n_uav"), "n_idle": ("world", "n_idle"),
-              "n_busy": ("world", "n_busy"), "f_k_max": ("caps", "f_uav_max")}
+# Sweep axis -> the dotted path, in a SimConfig, of the field it sets.
+SWEEP_AXES = {"n_uav": "world.n_uav", "n_idle": "world.n_idle",
+              "n_busy": "world.n_busy", "f_k_max": "caps.f_uav_max"}
+
+
+def replace_at(cfg: _Section, path: str, value: Any) -> _Section:
+    """A copy of cfg with the field at the dotted path set to value; cfg
+    itself is untouched. The value is checked at its full path: on a
+    SimConfig, ``chan_d2d.beta0`` is named ``sim.chan_d2d.beta0``."""
+    for name in reversed(path.split(".")):
+        value = {name: value}
+    return _typed(value, _spec(type(cfg)), cfg.home, cfg)
 
 
 def apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
@@ -265,12 +289,10 @@ def apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
     itself is untouched."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'")
-    section, name = SWEEP_AXES[axis]
-    part = dataclasses.replace(getattr(sim, section), **{name: value})
-    return dataclasses.replace(sim, **{section: part})
+    return replace_at(sim, SWEEP_AXES[axis], value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(_Section):
     sim: SimConfig = field(default_factory=SimConfig)
     td3: Td3Config = field(default_factory=Td3Config)
@@ -294,7 +316,7 @@ class ExperimentConfig(_Section):
                 raise ConfigError(f"sweep_axes: unknown axis '{axis}'")
             for i, value in enumerate(values):
                 try:
-                    apply_axis(self.sim, axis, value).validate()
+                    replace_at(self.sim, SWEEP_AXES[axis], value)
                 except ConfigError as exc:
                     raise ConfigError(f"sweep_axes.{axis}[{i}]: {exc}") from exc
             # Checked on valid values only: a repeat would run its cells twice.
@@ -328,11 +350,12 @@ def _fields(cls) -> dict[str, _Spec]:
     return {f.name: _spec(f.type) for f in dataclasses.fields(cls)}
 
 
-def _typed(value: Any, spec: _Spec, where: str):
+def _typed(value: Any, spec: _Spec, where: str, default: Any = None):
     """value as the annotated type, checked at every depth: its JSON type,
-    that a float is finite, and each Domain of the annotation. A dict for a
-    config section builds the section, an instance is checked field by
-    field, and either way the section's cross-field rules run last.
+    that a float is finite, and each Domain of the annotation. A section
+    instance was checked when it was built and passes as it is. Given a
+    default section, a dict builds a copy of it with the dict's fields
+    checked and set, at any depth, so unset fields keep that default.
     ConfigError naming where if anything does not fit."""
     kind = spec.kind
     if kind in _LEAF_TYPES:
@@ -352,19 +375,16 @@ def _typed(value: Any, spec: _Spec, where: str):
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected an object, got {value!r}")
         value = {k: _typed(v, spec.args[1], f"{where}.{k}") for k, v in value.items()}
-    else:  # a config section
+    elif isinstance(value, dict) and default is not None:  # a section from JSON
         fields, prefix = _fields(kind), f"{where}." if where else ""
-        if isinstance(value, dict):
-            for key in value:
-                if key not in fields:
-                    raise ConfigError(f"unknown field '{prefix}{key}'")
-            value = kind(**{k: _typed(v, fields[k], prefix + k) for k, v in value.items()})
-        elif isinstance(value, kind):
-            for name, field_spec in fields.items():
-                _typed(getattr(value, name), field_spec, prefix + name)
-        else:
-            raise ConfigError(f"{where or kind.__name__}: expected an object, got {value!r}")
-        value._rules(where)
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"unknown field '{prefix}{key}'")
+        value = dataclasses.replace(default, **{
+            k: _typed(v, fields[k], prefix + k, getattr(default, k)) for k, v in value.items()})
+    elif not isinstance(value, kind):
+        wanted = "an object" if default is not None else f"a {kind.__name__}"
+        raise ConfigError(f"{where or kind.__name__}: expected {wanted}, got {value!r}")
     for domain in spec.domains:
         if not domain.ok(value):
             raise ConfigError(f"{where} {domain.text}, got {value!r}")
@@ -373,12 +393,13 @@ def _typed(value: Any, spec: _Spec, where: str):
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     """The ExperimentConfig a (partial) JSON object describes, checked as
-    ``validate()`` checks it; unset fields keep their defaults."""
-    return _typed(data, _spec(ExperimentConfig), "")
+    construction checks it; an unset field keeps the default of the field
+    that holds it (``sim.chan_d2d`` the D2D link's, not ChannelParams')."""
+    return _typed(data, _spec(ExperimentConfig), "", ExperimentConfig())
 
 
 def load_experiment(path: str) -> ExperimentConfig:
-    """Load and validate an experiment config from a JSON file."""
+    """Load and check an experiment config from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

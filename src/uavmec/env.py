@@ -226,7 +226,6 @@ class OffloadEnv:
     """Deterministic, seedable episodic environment (step/reset interface)."""
 
     def __init__(self, cfg: SimConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         self.reset(seed)
 

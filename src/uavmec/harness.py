@@ -72,15 +72,15 @@ def cells(cfg: ExperimentConfig, axis: str | None = None):
     """Train each cell, one algorithm on one seed of one scenario, in order:
     each axis value (None: the base scenario), each algorithm, each seed.
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
-    failing cell re-raises its DivergenceError or ValueError, same type,
-    prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
+    failing cell re-raises its DivergenceError, MemoryError or ValueError,
+    same type, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
     for value in cfg.sweep_axes[axis] if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 try:
                     returns, actor = _train_one(algo, sim, cfg, seed)
-                except (DivergenceError, ValueError) as exc:
+                except (DivergenceError, MemoryError, ValueError) as exc:
                     cell = f"{axis}={value!r}: " if axis else ""
                     raise type(exc)(f"{cell}{algo} seed {seed}: {exc}") from exc
                 yield value, algo, seed, returns, actor
@@ -95,7 +95,6 @@ def converged_return(returns: list[float]) -> float:
 def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
     """Train every (algorithm, seed) cell on the base scenario and record
     per-episode return curves."""
-    cfg.validate()
     run_dir = _prepare_dir(cfg, name)
     snap, meta = _snapshot(cfg, run_dir)
     rows = []
@@ -112,7 +111,6 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
     seed; emit a summary CSV with mean and stddev across seeds."""
-    cfg.validate()
     if axis not in cfg.sweep_axes:
         raise ValueError(f"axis '{axis}' not present in sweep_axes")
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")

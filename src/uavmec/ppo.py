@@ -19,7 +19,6 @@ LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 class PpoAgent:
     def __init__(self, state_dim: int, action_dim: int, cfg: PpoConfig,
                  rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden)

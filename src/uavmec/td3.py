@@ -41,7 +41,6 @@ class TrainLog:
 class Td3Agent:
     def __init__(self, state_dim: int, action_dim: int, cfg: Td3Config,
                  rng: np.random.Generator, n_critics: int = 2):
-        cfg.validate()
         self.cfg = cfg
         self.rng = rng
         self.action_dim = action_dim

@@ -27,7 +27,6 @@ class WorldState:
 
 def spawn_world(cfg: WorldConfig, seed: int) -> WorldState:
     """Place UDs and UAVs uniformly at random; deterministic under seed."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     busy = np.zeros((cfg.n_busy, 3))
     busy[:, :2] = rng.uniform(0.0, cfg.area_side, size=(cfg.n_busy, 2))

@@ -4,17 +4,17 @@ import typing
 import numpy as np
 import pytest
 
-from uavmec.config import SimConfig
+from uavmec.config import SimConfig, WorldConfig
 from uavmec.env import OffloadEnv
 
 
-def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10) -> SimConfig:
-    cfg = SimConfig()
-    cfg.world.n_busy = n_busy
-    cfg.world.n_idle = n_idle
-    cfg.world.n_uav = n_uav
-    cfg.world.n_slots = n_slots
-    return cfg
+def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10, deterministic_fading=False,
+              **world) -> SimConfig:
+    """The default scenario at I/J/K = n_busy/n_idle/n_uav; world holds
+    further WorldConfig fields (``battery_j=2_000.0``, say)."""
+    return SimConfig(world=WorldConfig(n_busy=n_busy, n_idle=n_idle, n_uav=n_uav,
+                                       n_slots=n_slots, **world),
+                     deterministic_fading=deterministic_fading)
 
 
 def _bare(hint):

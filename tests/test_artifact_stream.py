@@ -23,20 +23,18 @@ import sys
 import tempfile
 
 import streams
+from conftest import small_sim
 from uavmec import harness
-from uavmec.config import ExperimentConfig, PpoConfig, SimConfig, Td3Config
+from uavmec.config import ExperimentConfig, PpoConfig, Td3Config
 
 FIXTURE = "artifact_stream.json"
 
 
 def _experiment(output_dir: str) -> ExperimentConfig:
-    sim = SimConfig()
-    sim.world.n_busy, sim.world.n_idle, sim.world.n_uav = 3, 2, 2
-    sim.world.n_slots = 5
     # Two 5-slot episodes per PPO update: 10 samples in minibatches of 4, 4
     # and 2, over two epochs.
     return ExperimentConfig(
-        sim=sim,
+        sim=small_sim(3, 2, 2, n_slots=5),
         td3=Td3Config(episodes=3, warmup_steps=5, batch_size=8,
                       buffer_capacity=500, hidden=(16, 16)),
         ppo=PpoConfig(episodes=4, rollout_episodes=2, epochs=2,

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import small_sim
 from uavmec import baseline
 from uavmec.baseline import GRID, greedy_action, steering_velocities
 from uavmec.config import SimConfig
@@ -33,13 +34,10 @@ def sequential_greedy_action(env: OffloadEnv) -> np.ndarray:
 
 
 def _sized(n_busy, n_idle, n_uav, deterministic_fading=False) -> SimConfig:
-    cfg = SimConfig()
-    cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav = n_busy, n_idle, n_uav
-    cfg.deterministic_fading = deterministic_fading
     # 20 slots keep the test short; with a 2 kJ battery the energy penalty
     # F2, which the action moves, starts firing mid-episode.
-    cfg.world.n_slots, cfg.world.battery_j = 20, 2_000.0
-    return cfg
+    return small_sim(n_busy, n_idle, n_uav, n_slots=20, battery_j=2_000.0,
+                     deterministic_fading=deterministic_fading)
 
 
 @pytest.mark.parametrize("shape", [(20, 10, 5), (6, 3, 2), (6, 3, 2, True)],

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import numeric_leaves, small_sim
 from uavmec import env as env_module, libm
 from uavmec.baseline import greedy_action, greedy_episode, steering_velocities
-from uavmec.config import ConfigError, SimConfig
+from uavmec.config import ConfigError, SimConfig, WorldConfig, replace_at
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
@@ -76,9 +77,8 @@ class TestReset:
                               OffloadEnv(sim_cfg, 5).state())
 
     def test_fixed_cycle_density_is_finite(self):
-        cfg = small_sim()
-        cfg.task.cycles_per_bit_min = 1100.0
-        cfg.task.cycles_per_bit_max = 1100.0
+        cfg = replace_at(small_sim(), "task.cycles_per_bit_min", 1100.0)
+        cfg = replace_at(cfg, "task.cycles_per_bit_max", 1100.0)
         env = OffloadEnv(cfg, 0)
         s = env.reset()
         assert np.all(np.isfinite(s))
@@ -228,8 +228,7 @@ class TestStep:
         assert not any(calls)
 
     def test_battery_penalty_fires_and_sticks(self):
-        cfg = small_sim(n_slots=6)
-        cfg.world.battery_j = 200.0  # hover alone drains this within two slots
+        cfg = small_sim(n_slots=6, battery_j=200.0)  # hover drains this in two slots
         env = OffloadEnv(cfg, 0)
         flags = [e.f2 > 0 for e in rollout(env, lambda _: np.zeros(env.action_dim))]
         assert any(flags)
@@ -269,10 +268,24 @@ class TestStep:
 class TestConfigChecks:
     def test_zero_tx_power_rejected(self):
         # At zero power every uplink delay is inf and its energy 0 * inf = nan.
-        cfg = small_sim()
-        cfg.caps.tx_power = 0.0
         with pytest.raises(ConfigError, match=r"caps\.tx_power"):
-            OffloadEnv(cfg, 0)
+            replace_at(small_sim(), "caps.tx_power", 0.0)
+
+    def test_live_config_cannot_change(self, sim_cfg):
+        # Before sections were frozen, setting n_uav to 3 under a live 4/2/2
+        # env broke its next step inside numpy, and its next reset grew the
+        # state from 25 to 29 entries.
+        env = OffloadEnv(sim_cfg, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            env.cfg.world.n_uav = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            env.cfg.world = WorldConfig(n_uav=3)
+        assert env.cfg.world.n_uav == 2
+        for _ in range(sim_cfg.world.n_slots):
+            s, reward, _, _ = env.step(np.zeros(env.action_dim))
+            assert s.shape == (25,) and np.isfinite(reward)
+        assert env.done
+        assert env.reset().shape == (25,)
 
 
 def _float_bits(x) -> bytes:
@@ -281,9 +294,9 @@ def _float_bits(x) -> bytes:
 
 class TestPeekReward:
     def test_equals_cloned_step_on_every_slot(self):
-        cfg = SimConfig()                # 20/10/5, 50 slots, stochastic fading
-        cfg.world.battery_j = 5_000.0    # drained within the episode: F2 fires
-        env = OffloadEnv(cfg, 8)
+        # 20/10/5, 50 slots, stochastic fading; the battery is drained within
+        # the episode, so F2 fires.
+        env = OffloadEnv(SimConfig(world=WorldConfig(battery_j=5_000.0)), 8)
         rng = np.random.default_rng(8)
         flags = set()
         done = False
@@ -373,14 +386,12 @@ def _shared_velocity_rows(rng, n_rows: int, env) -> np.ndarray:
 
 def _peek_case(name):
     if name == "20-10-5":
-        cfg = SimConfig()                # 50 slots, stochastic fading
-        cfg.world.battery_j = 5_000.0    # drained within the episode: F2 fires
-        return cfg, 8
+        # 50 slots, stochastic fading; the battery is drained within the
+        # episode, so F2 fires.
+        return SimConfig(world=WorldConfig(battery_j=5_000.0)), 8
     if name == "12-3-2":                 # partner loads {1, 4, 7}
         return small_sim(n_busy=12, n_idle=3, n_uav=2), 0
-    cfg = small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15)
-    cfg.deterministic_fading = True
-    return cfg, 3
+    return small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15, deterministic_fading=True), 3
 
 
 def _row_entry(env, out, b: int):
@@ -514,8 +525,8 @@ class TestEpisodeCaches:
 
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_reset_equals_a_fresh_env(self, deterministic):
-        cfg = small_sim(n_busy=9, n_idle=4, n_uav=3, n_slots=6)
-        cfg.deterministic_fading = deterministic
+        cfg = small_sim(n_busy=9, n_idle=4, n_uav=3, n_slots=6,
+                        deterministic_fading=deterministic)
         rng = np.random.default_rng(5)
         actions = rng.uniform(-1, 1, (cfg.world.n_slots, action_length(3)))
         used = OffloadEnv(cfg, 1)
@@ -531,15 +542,11 @@ class TestEpisodeCaches:
 
 
 class TestFiniteReward:
-    def _env(self, **leaves):
-        cfg = small_sim(n_slots=3)
-        for path, value in leaves.items():
-            section, leaf = path.split("__")
-            setattr(getattr(cfg, section), leaf, value)
-        return OffloadEnv(cfg, 0)
+    def _env(self, path, value):
+        return OffloadEnv(replace_at(small_sim(n_slots=3), path, value), 0)
 
     def test_step_names_slot_and_terms_and_commits_nothing(self):
-        env = self._env(energy__kappa=1e300)
+        env = self._env("energy.kappa", 1e300)
         a = np.ones(env.action_dim)
         state = env.state()
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -550,7 +557,7 @@ class TestFiniteReward:
         assert env.state().tobytes() == state.tobytes()
 
     def test_peek_rewards_names_the_row(self):
-        env = self._env(energy__kappa=1e300)
+        env = self._env("energy.kappa", 1e300)
         batch = -np.ones((4, env.action_dim))   # every compute level at 0
         assert np.isfinite(env.peek_rewards(batch)).all()
         batch[2, 3] = 1.0                        # row 2 runs f_busy at its cap
@@ -560,7 +567,7 @@ class TestFiniteReward:
                 env.peek_rewards(batch)
 
     def test_overflow_names_the_slot(self):
-        env = self._env(caps__f_uav_max=1e300)
+        env = self._env("caps.f_uav_max", 1e300)
         with pytest.raises(ValueError, match=r"^slot 0: the reward overflows") as info:
             env.step(np.ones(env.action_dim))
         assert isinstance(info.value.__cause__, OverflowError)
@@ -581,14 +588,11 @@ def test_extreme_float_leaf_fails_by_name_or_runs_finite(path, value):
     # Before the finite check, 16 of these validated and gave an inf or nan
     # reward, and 7 ended in an OverflowError.
     cfg = small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=3)
-    *parents, name = path.removeprefix("sim.").removesuffix("[0]").split(".")
-    section = cfg
-    for key in parents:
-        section = getattr(section, key)
-    old = getattr(section, name)
-    setattr(section, name, (value, *old[1:]) if path.endswith("[0]") else value)
+    field = path.removeprefix("sim.").removesuffix("[0]")
+    if path.endswith("[0]"):
+        value = (value, *functools.reduce(getattr, field.split("."), cfg)[1:])
     try:
-        cfg.validate()
+        cfg = replace_at(cfg, field, value)
     except ConfigError as exc:
         assert path in str(exc) or _RULE_SECTION.get(path, path) in str(exc)
         return

@@ -1,6 +1,7 @@
 """Orchestration layer: run/sweep/trajectory artifacts, CSV schemas,
 byte-identical re-runs, and the CLI wrapper."""
 
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 
 from conftest import numeric_leaves, small_sim
 from uavmec import cli, config, harness
-from uavmec.config import (ConfigError, ExperimentConfig, PpoConfig, SimConfig,
-                           Td3Config, WorldConfig, apply_axis, experiment_from_dict,
-                           load_experiment, save_experiment)
+from uavmec.config import (ChannelParams, ConfigError, ExperimentConfig, PpoConfig,
+                           SimConfig, Td3Config, WorldConfig, apply_axis,
+                           d2d_channel_defaults, experiment_from_dict, load_experiment,
+                           replace_at, save_experiment)
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.nets import Mlp
@@ -91,11 +93,9 @@ class TestRun:
         assert algos == {"ppo", "greedy"}
 
     def test_unknown_algorithm_rejected(self, out_root):
-        cfg = tiny_experiment()
-        cfg.algorithms = ("td3", "sarsa")
         with pytest.raises(ConfigError, match=r"^algorithms\[1\] must be one of td3, "
                                               r"ddpg, ppo, greedy, got 'sarsa'$"):
-            harness.run(cfg)
+            harness.run(tiny_experiment(algorithms=("td3", "sarsa")))
 
 
 class TestCells:
@@ -480,9 +480,8 @@ class TestCli:
         # thread: a worker that does not carry the CLI's np.errstate prints
         # warnings from nets.py and ppo.py.
         if case == "kappa":
-            cfg = tiny_experiment(sim=small_sim(n_slots=3), algorithms=("greedy",),
-                                  seeds=(0,))
-            cfg.sim.energy.kappa = 1e300
+            cfg = tiny_experiment(sim=replace_at(small_sim(n_slots=3), "energy.kappa", 1e300),
+                                  algorithms=("greedy",), seeds=(0,))
             command = "baseline"
         elif case == "ppo":
             cfg = tiny_experiment(
@@ -515,14 +514,14 @@ class TestCli:
                               f"({capacity}, {state_dim}) and data type float64")
 
         monkeypatch.setattr(ReplayBuffer, "__init__", no_memory)
-        cfg = tiny_experiment(seeds=(0,))
-        cfg.td3.buffer_capacity = 1_000_000_000
+        cfg = replace_at(tiny_experiment(seeds=(0,)), "td3.buffer_capacity", 1_000_000_000)
         path = self._write_cfg(tmp_path, cfg)
         assert cli.main(["run", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and err.count("\n") == 1
+        # The line names the cell, as for any other failing cell.
         assert json.loads(err[len("ERROR "):])["error"].startswith(
-            "Unable to allocate an array with shape (1000000000, ")
+            "td3 seed 0: Unable to allocate an array with shape (1000000000, ")
         assert not list(out_root.rglob("*.csv"))
 
     def test_missing_file_reports_error(self, out_root, capsys):
@@ -532,10 +531,8 @@ class TestCli:
 
 class TestConfigErrors:
     def test_error_names_offending_field(self, tmp_path):
-        cfg = tiny_experiment()
-        cfg.td3.gamma = 1.5
         with pytest.raises(ConfigError, match="gamma"):
-            cfg.validate()
+            replace_at(tiny_experiment(), "td3.gamma", 1.5)
 
     @pytest.mark.parametrize("section,field,value", [
         ("td3", "policy_delay", 0),
@@ -558,18 +555,16 @@ class TestConfigErrors:
         ("td3", "buffer_capacity", 10**30),
     ])
     def test_learner_range_names_field(self, section, field, value):
-        cfg = tiny_experiment()
-        cfg.td3.batch_size = 16
-        cfg.validate()
-        setattr(getattr(cfg, section) if section else cfg, field, value)
-        with pytest.raises(ConfigError, match=f"{section}.{field}".lstrip(".")):
-            cfg.validate()
+        cfg = replace_at(tiny_experiment(), "td3.batch_size", 16)
+        path = f"{section}.{field}".lstrip(".")
+        with pytest.raises(ConfigError, match=path):
+            replace_at(cfg, path, value)
 
     def test_zero_noise_and_warmup_allowed(self):
         cfg = tiny_experiment()
-        cfg.td3.exploration_noise_sigma = 0.0
-        cfg.td3.target_noise_sigma = 0.0
-        cfg.td3.warmup_steps = 0
+        for path, value in [("td3.exploration_noise_sigma", 0.0),
+                            ("td3.target_noise_sigma", 0.0), ("td3.warmup_steps", 0)]:
+            cfg = replace_at(cfg, path, value)
         cfg.validate()
 
     @pytest.mark.parametrize("section,field,value", [
@@ -592,11 +587,8 @@ class TestConfigErrors:
         ("world", "n_busy", 10**30),
     ])
     def test_sim_range_names_field(self, section, field, value):
-        cfg = tiny_experiment()
-        cfg.validate()
-        setattr(getattr(cfg.sim, section), field, value)
         with pytest.raises(ConfigError, match=f"{section}.{field}"):
-            cfg.validate()
+            replace_at(tiny_experiment(), f"sim.{section}.{field}", value)
 
     def test_negative_seed_names_index(self):
         # Before the bound this validated, and the first run died in numpy's
@@ -604,7 +596,7 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=r"seeds\[0\] must be nonnegative"):
             experiment_from_dict({"seeds": [-1]})
         with pytest.raises(ConfigError, match=r"seeds\[1\] must be nonnegative"):
-            tiny_experiment(seeds=(0, -1)).validate()
+            tiny_experiment(seeds=(0, -1))
 
     @pytest.mark.parametrize("blob,path", [
         ({"sim": {"world": {"n_busy": "abc"}}}, r"sim\.world\.n_busy"),
@@ -641,14 +633,25 @@ class TestConfigErrors:
             experiment_from_dict(blob)
         assert "world.n_idle" in str(err.value)
 
+    @pytest.mark.parametrize("link", ["chan_d2d", "chan_uav"])
+    def test_partial_link_keeps_its_own_defaults(self, link, tmp_path):
+        # Before, a partial sim.chan_d2d took the UAV link's defaults:
+        # rician_k 10.0 and bandwidth 15e6 in place of 0.0 and 10e6.
+        defaults = {"chan_d2d": d2d_channel_defaults(), "chan_uav": ChannelParams()}[link]
+        cfg = experiment_from_dict({"sim": {link: {"chi": 3.5}}})
+        assert getattr(cfg.sim, link) == dataclasses.replace(defaults, chi=3.5)
+        path = str(tmp_path / "c.json")
+        save_experiment(cfg, path)
+        assert load_experiment(path) == cfg
+
     def test_int_accepted_for_float_field(self):
         cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
         assert cfg.sim.world.area_side == 100
 
     def test_zero_rollout_episodes_raises_instead_of_hanging(self):
-        cfg = PpoConfig(episodes=2, rollout_episodes=0, hidden=(8,))
         with pytest.raises(ConfigError, match="ppo.rollout_episodes"):
-            ppo_train(lambda s: OffloadEnv(small_sim(n_slots=2), s), cfg, 0)
+            ppo_train(lambda s: OffloadEnv(small_sim(n_slots=2), s),
+                      PpoConfig(episodes=2, rollout_episodes=0, hidden=(8,)), 0)
 
     def test_removed_induced_term_knob_is_unknown(self):
         # Each retired field fails by name, as any unknown field does.
@@ -687,6 +690,39 @@ class TestConfigErrors:
             load_experiment(path)
 
 
+class TestReplaceAt:
+    def test_copy_with_one_field_set(self):
+        sim = SimConfig()
+        got = replace_at(sim, "world.n_uav", 3)
+        assert got == SimConfig(world=WorldConfig(n_uav=3))
+        assert sim == SimConfig()
+        assert got.chan_d2d is sim.chan_d2d
+
+    def test_value_named_at_its_full_path(self):
+        with pytest.raises(ConfigError, match=r"^sim\.chan_d2d\.beta0 must be positive, "
+                                              r"got -1$"):
+            replace_at(SimConfig(), "chan_d2d.beta0", -1)
+        with pytest.raises(ConfigError, match=r"^sim\.chan_d2d\.beta0 must be positive"):
+            replace_at(ExperimentConfig(), "sim.chan_d2d.beta0", -1)
+        with pytest.raises(ConfigError, match=r"^sim\.world\.h_min must be below "
+                                              r"sim\.world\.h_max"):
+            replace_at(SimConfig(), "world.h_min", 250.0)
+        with pytest.raises(ConfigError, match=r"^sim\.world\.n_uav: expected int, got dict"):
+            replace_at(SimConfig(), "world.n_uav.x", 1)
+
+    @pytest.mark.parametrize("path", ["world.speed", "radio"])
+    def test_unknown_path_named(self, path):
+        with pytest.raises(ConfigError, match=rf"^unknown field 'sim\.{path}'$"):
+            replace_at(SimConfig(), path, 1)
+
+    def test_sections_are_checked_when_built(self):
+        with pytest.raises(ConfigError, match=r"^sim\.world\.n_uav must be positive"):
+            WorldConfig(n_uav=0)
+        with pytest.raises(ConfigError, match=r"^sim\.world: expected a WorldConfig"):
+            SimConfig(world={"n_uav": 3})
+        assert Td3Config(hidden=[8, 8]).hidden == (8, 8)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("path", [path for path, _ in numeric_leaves(ExperimentConfig)])
 def test_non_finite_number_names_path(path, value):
@@ -700,14 +736,9 @@ def test_non_finite_number_names_path(path, value):
     with pytest.raises(ConfigError) as err:
         experiment_from_dict(blob)
     assert path in str(err.value)
-    # A config built in Python gets the same check from validate().
-    cfg = ExperimentConfig()
-    section = cfg
-    for key in parents:
-        section = getattr(section, key)
-    setattr(section, name, (value,) if in_tuple else value)
+    # A config derived in Python gets the same check from replace_at.
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        replace_at(ExperimentConfig(), path.removesuffix("[0]"), (value,) if in_tuple else value)
     assert path in str(err.value)
 
 

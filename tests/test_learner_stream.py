@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import streams
-from uavmec.config import PpoConfig, SimConfig, Td3Config
+from conftest import small_sim
+from uavmec.config import PpoConfig, Td3Config
 from uavmec.env import OffloadEnv
 from uavmec.ppo import ppo_train
 from uavmec.td3 import ddpg_train, td3_train
@@ -30,10 +31,7 @@ FIXTURE = "learner_stream.json"
 
 
 def _env_factory(seed):
-    cfg = SimConfig()
-    cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav = 6, 3, 2
-    cfg.world.n_slots = 20
-    return OffloadEnv(cfg, seed)
+    return OffloadEnv(small_sim(6, 3, 2, n_slots=20), seed)
 
 
 def _td3_cfg(**kw) -> Td3Config:

@@ -29,39 +29,28 @@ import numpy as np
 import pytest
 
 import streams
+from conftest import small_sim
 from uavmec.baseline import greedy_action
-from uavmec.config import SimConfig
+from uavmec.config import EconParams, SimConfig
 from uavmec.env import OffloadEnv, decode, episode_return, transitions
 
 FIXTURE = "slot_stream.json"
 
 
-def _sized(n_busy, n_idle, n_uav, **world) -> SimConfig:
-    cfg = SimConfig()
-    cfg.world.n_busy, cfg.world.n_idle, cfg.world.n_uav = n_busy, n_idle, n_uav
-    for key, value in world.items():
-        setattr(cfg.world, key, value)
-    return cfg
-
-
 def _deterministic() -> SimConfig:
-    cfg = SimConfig()
-    cfg.deterministic_fading = True
-    return cfg
+    return SimConfig(deterministic_fading=True)
 
 
 def _physical_sign() -> SimConfig:
-    cfg = SimConfig()
-    cfg.econ.paper_sign_convention = False
-    return cfg
+    return SimConfig(econ=EconParams(paper_sign_convention=False))
 
 
 # name -> (config factory, env seeds, one per episode, action-stream seed).
 # The 6/3/2 battery is small enough for the energy penalty F2 to fire.
 CASES = {
-    "6-3-2": (lambda: _sized(6, 3, 2, n_slots=20, battery_j=3_000.0), (1,), 101),
+    "6-3-2": (lambda: small_sim(6, 3, 2, n_slots=20, battery_j=3_000.0), (1,), 101),
     "20-10-5": (SimConfig, (2,), 102),
-    "200-100-20": (lambda: _sized(200, 100, 20), (3, 4), 103),
+    "200-100-20": (lambda: small_sim(200, 100, 20, n_slots=50), (3, 4), 103),
     "deterministic-fading": (_deterministic, (5,), 104),
     "physical-sign": (_physical_sign, (6,), 105),
 }
