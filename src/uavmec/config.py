@@ -47,6 +47,21 @@ _NONNEGATIVE = Domain("must be nonnegative", lambda v: v >= 0)
 _NON_EMPTY = Domain("must be a non-empty list", lambda v: len(v) > 0)
 _DISTINCT = Domain("must be distinct", lambda v: len(set(v)) == len(v))
 
+
+class _FrozenDict(dict):
+    """A dict that refuses changes: the value of a frozen section's
+    mapping field."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a config mapping cannot be changed; derive a copy "
+                        "with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):   # copy and pickle rebuild it rather than fill it
+        return type(self), (dict(self),)
+
 Positive = Annotated[float, _POSITIVE]
 NonNegative = Annotated[float, _NONNEGATIVE]
 # Far above any machine-sized world: a larger count would otherwise fail
@@ -301,7 +316,9 @@ class ExperimentConfig(_Section):
     seeds: Annotated[tuple[Annotated[int, _NONNEGATIVE], ...], _NON_EMPTY,
                      _DISTINCT] = (0, 1, 2)
     output_dir: str = "runs"
-    sweep_axes: dict[str, Annotated[list, _NON_EMPTY]] = field(default_factory=lambda: {
+    # Each axis's values are tuples, checked by _rules against the field
+    # the axis sets.
+    sweep_axes: dict[str, Annotated[tuple, _NON_EMPTY]] = field(default_factory=lambda: {
         "n_uav": [1, 2, 3],
         "n_idle": [1, 2, 4],
         "n_busy": [4, 8, 12],
@@ -321,18 +338,18 @@ class ExperimentConfig(_Section):
                     raise ConfigError(f"sweep_axes.{axis}[{i}]: {exc}") from exc
             # Checked on valid values only: a repeat would run its cells twice.
             if not _DISTINCT.ok(values):
-                raise ConfigError(f"sweep_axes.{axis} {_DISTINCT.text}, got {values!r}")
+                raise ConfigError(f"sweep_axes.{axis} {_DISTINCT.text}, got {list(values)!r}")
 
 
 # JSON types each annotated leaf type accepts; bool is never an int here.
-_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
-               list: (list,)}
+_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 class _Spec(NamedTuple):
     """A type hint taken apart once, for the walker."""
     kind: Any          # a config dataclass, tuple, dict, or a _LEAF_TYPES key
-    args: tuple        # the _Spec of each type argument but the tuple's "..."
+    args: tuple        # the _Spec of each type argument but the tuple's "...";
+                       # none for a bare tuple, whose items are left unchecked
     domains: tuple     # the Domains of an Annotated hint
 
 
@@ -370,11 +387,13 @@ def _typed(value: Any, spec: _Spec, where: str, default: Any = None):
     elif kind is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        value = tuple(_typed(v, spec.args[0], f"{where}[{i}]") for i, v in enumerate(value))
+        value = tuple(_typed(v, spec.args[0], f"{where}[{i}]") if spec.args else v
+                      for i, v in enumerate(value))
     elif kind is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected an object, got {value!r}")
-        value = {k: _typed(v, spec.args[1], f"{where}.{k}") for k, v in value.items()}
+        value = _FrozenDict(
+            {k: _typed(v, spec.args[1], f"{where}.{k}") for k, v in value.items()})
     elif isinstance(value, dict) and default is not None:  # a section from JSON
         fields, prefix = _fields(kind), f"{where}." if where else ""
         for key in value:

@@ -68,21 +68,27 @@ def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
     return log.episode_returns, agent.actor
 
 
+_CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
+
+
 def cells(cfg: ExperimentConfig, axis: str | None = None):
     """Train each cell, one algorithm on one seed of one scenario, in order:
     each axis value (None: the base scenario), each algorithm, each seed.
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
-    failing cell re-raises its DivergenceError, MemoryError or ValueError,
-    same type, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
+    failing cell re-raises its DivergenceError, MemoryError or ValueError
+    as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
     for value in cfg.sweep_axes[axis] if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 try:
                     returns, actor = _train_one(algo, sim, cfg, seed)
-                except (DivergenceError, MemoryError, ValueError) as exc:
+                except _CELL_ERRORS as exc:
                     cell = f"{axis}={value!r}: " if axis else ""
-                    raise type(exc)(f"{cell}{algo} seed {seed}: {exc}") from exc
+                    # The class caught, not type(exc): a subclass need not
+                    # take a message, as numpy's _ArrayMemoryError(shape, dtype).
+                    base = next(t for t in _CELL_ERRORS if isinstance(exc, t))
+                    raise base(f"{cell}{algo} seed {seed}: {exc}") from exc
                 yield value, algo, seed, returns, actor
 
 

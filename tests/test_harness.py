@@ -7,15 +7,18 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import weakref
+from copy import deepcopy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 from conftest import numeric_leaves, small_sim
 from uavmec import cli, config, harness
@@ -509,9 +512,10 @@ class TestCli:
         # Before, a replay buffer larger than the machine's memory ended in a
         # MemoryError traceback with exit 1. The allocation fails on purpose
         # here, so the case does not hang on how the host overcommits memory.
+        # numpy's own error is raised, whose class needs (shape, dtype) and
+        # cannot be rebuilt from a message.
         def no_memory(self, capacity, state_dim, action_dim, rng):
-            raise MemoryError(f"Unable to allocate an array with shape "
-                              f"({capacity}, {state_dim}) and data type float64")
+            raise _ArrayMemoryError((capacity, state_dim), np.dtype(float))
 
         monkeypatch.setattr(ReplayBuffer, "__init__", no_memory)
         cfg = replace_at(tiny_experiment(seeds=(0,)), "td3.buffer_capacity", 1_000_000_000)
@@ -520,8 +524,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and err.count("\n") == 1
         # The line names the cell, as for any other failing cell.
-        assert json.loads(err[len("ERROR "):])["error"].startswith(
-            "td3 seed 0: Unable to allocate an array with shape (1000000000, ")
+        msg = json.loads(err[len("ERROR "):])["error"]
+        assert msg.startswith("td3 seed 0: Unable to allocate ")
+        assert "for an array with shape (1000000000, " in msg
         assert not list(out_root.rglob("*.csv"))
 
     def test_missing_file_reports_error(self, out_root, capsys):
@@ -721,6 +726,42 @@ class TestReplaceAt:
         with pytest.raises(ConfigError, match=r"^sim\.world: expected a WorldConfig"):
             SimConfig(world={"n_uav": 3})
         assert Td3Config(hidden=[8, 8]).hidden == (8, 8)
+
+    def test_channel_params_built_alone_names_the_field(self):
+        # A ChannelParams sits at two paths, sim.chan_d2d and sim.chan_uav,
+        # so built alone it names its field only; replace_at on a SimConfig
+        # names the full path.
+        with pytest.raises(ConfigError, match=r"^beta0 must be positive, got -1$"):
+            ChannelParams(beta0=-1)
+        with pytest.raises(ConfigError, match=r"^sim\.chan_uav\.beta0 must be positive"):
+            replace_at(SimConfig(), "chan_uav.beta0", -1)
+
+    def test_sweep_axes_cannot_change_after_building(self):
+        # Before, the axes were the caller's dict of lists and sweep checked
+        # nothing again: an appended repeat ran its cells twice.
+        axes = {"n_uav": [1, 2]}
+        cfg = ExperimentConfig(sweep_axes=axes)
+        axes["n_uav"].append(2)
+        assert cfg.sweep_axes == {"n_uav": (1, 2)}
+        with pytest.raises(AttributeError):
+            cfg.sweep_axes["n_uav"].append(1)
+        for change in (lambda d: d.__setitem__("n_uav", (1, 1)),
+                       lambda d: d.__delitem__("n_uav"),
+                       lambda d: d.update(n_uav=(1, 1)), lambda d: d.clear(),
+                       lambda d: d.pop("n_uav"), lambda d: d.popitem(),
+                       lambda d: d.setdefault("n_idle", (0,)),
+                       lambda d: d.__ior__({"n_uav": (1, 1)})):
+            with pytest.raises(TypeError, match="cannot be changed"):
+                change(cfg.sweep_axes)
+        assert cfg.sweep_axes == {"n_uav": (1, 2)}
+        assert deepcopy(cfg) == cfg == pickle.loads(pickle.dumps(cfg))
+
+    def test_derived_sweep_axes_are_checked(self):
+        with pytest.raises(ConfigError, match=r"^sweep_axes\.n_uav must be distinct, "
+                                              r"got \[1, 1\]$"):
+            dataclasses.replace(ExperimentConfig(), sweep_axes={"n_uav": [1, 1]})
+        with pytest.raises(ConfigError, match=r"^sweep_axes\.n_uav\[1\]"):
+            replace_at(ExperimentConfig(), "sweep_axes", {"n_uav": (1, 0)})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
