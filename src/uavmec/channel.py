@@ -34,14 +34,8 @@ def link_distance(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_distance(d) -> None:
-    if np.count_nonzero(np.asarray(d) <= 0):
-        raise ValueError("link distance must be positive")
-
-
 def los_gain_sq(p: ChannelParams, d):
     """Deterministic power gain beta0 * d^-chi (the rician_k -> inf limit)."""
-    _check_distance(d)
     return p.beta0 * libm.power(d, -p.chi)
 
 
@@ -68,9 +62,5 @@ def sample_gain_sq(p: ChannelParams, d: float, rng: np.random.Generator) -> floa
 
 
 def rate(bw: float, tx_power: float, gain_sq, noise: float):
-    """Shannon rate bw * log2(1 + snr) in bits/s; zero at zero transmit power."""
-    if bw <= 0 or noise <= 0:
-        raise ValueError("bandwidth and noise power must be positive")
-    if tx_power < 0 or np.count_nonzero(np.asarray(gain_sq) < 0):
-        raise ValueError("tx_power and gain_sq must be nonnegative")
+    """Shannon rate bw * log2(1 + snr) in bits/s."""
     return bw * libm.log2(1.0 + tx_power * gain_sq / noise)

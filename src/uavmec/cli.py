@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .config import SWEEP_AXES, ConfigError, load_experiment
+from .config import SWEEP_AXES, load_experiment
 from .env import action_length, state_length
 from .td3 import DivergenceError, load_actor
 
@@ -82,8 +82,8 @@ def main(argv=None) -> int:
         elif args.command == "baseline":
             cfg = replace(load_experiment(args.config), algorithms=("greedy",))
             for _, _, seed, returns, _ in harness.cells(cfg):
-                print(f"seed={seed} return={float(returns[0])!r}")
-    except (ConfigError, DivergenceError, MemoryError, OSError, ValueError) as exc:
+                print(f"seed={seed} return={returns[0]!r}")
+    except (DivergenceError, MemoryError, OSError, ValueError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     return 0

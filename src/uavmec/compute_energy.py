@@ -56,8 +56,6 @@ def flight_power(v, p: EnergyParams):
     P_induced * sqrt(sqrt(1 + v^4 / (4 v_f^2)) - v^2 / (2 v_f^2)),
     with 4*v_f^2 where the classical rotary-wing model has 4*v_f^4.
     """
-    if np.count_nonzero(np.asarray(v) < 0):
-        raise ValueError("speed must be nonnegative")
     sqrt = np.sqrt if libm.is_array(v) else math.sqrt
     v2 = libm.power(v, 2)
     parasite = 0.5 * p.d_c * p.rho * p.rotor_solidity * p.rotor_area * libm.power(v, 3)
@@ -69,8 +67,6 @@ def flight_power(v, p: EnergyParams):
 
 
 def flight_energy(v, dt: float, p: EnergyParams):
-    if dt < 0:
-        raise ValueError("slot length must be nonnegative")
     return flight_power(v, p) * dt
 
 

@@ -6,11 +6,12 @@ Every field can be overridden from a JSON config file.
 
 Each field states its domain once, in its annotation: its type and, for most
 numbers, a :class:`Domain` such as :data:`Positive` or :data:`Count`. Every
-float must also be finite. One walker, :func:`_typed`, checks all of this,
-both for a JSON object being loaded and when a section is built; only the
-rules that span fields are code, in each section's ``_rules``. Unknown,
-ill-typed or out-of-domain fields raise :class:`ConfigError` naming the
-dotted path and the value.
+float must also be finite; an int given for a float field is stored as a
+float. One walker, :func:`_typed`, checks all of this, both for a JSON
+object being loaded and when a section is built; only the rules that span
+fields are code, in each section's ``_rules``. Unknown, ill-typed or
+out-of-domain fields raise :class:`ConfigError` naming the dotted path and
+the value.
 
 Sections are frozen: a config that exists has been checked and stays as it
 was checked, so no consumer checks it again. :func:`replace_at` derives a
@@ -407,7 +408,8 @@ def _typed(value: Any, spec: _Spec, where: str, default: Any = None):
     for domain in spec.domains:
         if not domain.ok(value):
             raise ConfigError(f"{where} {domain.text}, got {value!r}")
-    return value
+    # After the checks, so that an error quotes the value as given.
+    return float(value) if kind is float else value
 
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:

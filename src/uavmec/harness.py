@@ -50,7 +50,7 @@ def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
     cfgmod.save_experiment(cfg, snap)
     meta = os.path.join(run_dir, "metadata.json")
     with open(meta, "w", encoding="utf-8") as fh:
-        json.dump({"seeds": list(cfg.seeds), "algorithms": list(cfg.algorithms),
+        json.dump({"seeds": cfg.seeds, "algorithms": cfg.algorithms,
                    "timestamp": time.time()}, fh, indent=2)
     return snap, meta
 
@@ -155,9 +155,8 @@ def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]]
     header = ["episode", "slot", "Q", "U_K", "U_J", "U_I",
               "F1", "F2", "F3", "F4", "reward"]
     header += [f"uav{k}_{c}" for k in range(n_uav) for c in ("x", "y", "z", "energy")]
-    # float(): a penalty configured as an int stays an int in the ledger.
-    rows = ([ep, e.slot, *map(float, (e.q, e.u_uav, e.u_idle, e.u_busy,
-                                      e.f1, e.f2, e.f3, e.f4, e.reward))]
+    rows = ([ep, e.slot, e.q, e.u_uav, e.u_idle, e.u_busy,
+             e.f1, e.f2, e.f3, e.f4, e.reward]
             + [v for cells in e.uav_rows for v in cells]
             for ep in sorted(entries_by_episode) for e in entries_by_episode[ep])
     _write_csv(path, header, rows)

@@ -21,9 +21,8 @@ class PpoAgent:
                  rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        hidden = list(cfg.hidden)
-        self.mean_net = Mlp([state_dim] + hidden + [action_dim], "tanh", rng)
-        self.value_net = Mlp([state_dim] + hidden + [1], "identity", rng)
+        self.mean_net = Mlp([state_dim, *cfg.hidden, action_dim], "tanh", rng)
+        self.value_net = Mlp([state_dim, *cfg.hidden, 1], "identity", rng)
         self.log_std = np.full(action_dim, cfg.init_log_std)
         self.policy_opt = Adam([self.mean_net.flat, self.log_std], cfg.lr)
         self.value_opt = Adam([self.value_net.flat], cfg.lr)
@@ -112,12 +111,13 @@ class PpoAgent:
         return float(np.mean(err ** 2))
 
 
-def gae(rewards, values, dones, last_value, gamma, lam):
-    """Generalized advantage estimates and discounted return targets."""
+def gae(rewards, values, dones, gamma, lam):
+    """Generalized advantage estimates and discounted return targets. The
+    batch ends on a terminal step, so nothing is bootstrapped past its end."""
     n = len(rewards)
     adv = np.zeros(n)
     running = 0.0
-    next_value = last_value
+    next_value = 0.0
     for t in range(n - 1, -1, -1):
         nonterminal = 1.0 - dones[t]
         delta = rewards[t] + gamma * next_value * nonterminal - values[t]
@@ -154,7 +154,7 @@ def ppo_train(env_factory, cfg: PpoConfig, seed: int):
             log.penalty_totals.append(episode_return(e.penalty for e in entries))
         episodes_done += batch_eps
         adv, returns = gae(np.array(rewards), np.array(values),
-                           np.array(dones), 0.0, cfg.gamma, cfg.gae_lambda)
+                           np.array(dones), cfg.gamma, cfg.gae_lambda)
         p_loss, v_loss = agent.update(np.array(states), np.array(actions),
                                       np.array(logps), adv, returns)
         log.critic_losses.append(v_loss)

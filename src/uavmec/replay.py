@@ -31,8 +31,6 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int):
         """Uniform minibatch without replacement within the batch."""
-        if batch_size > self.size:
-            raise ValueError("not enough samples in the buffer")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
         return (self.s[idx], self.a[idx], self.r[idx],
                 self.s_next[idx], self.done[idx])

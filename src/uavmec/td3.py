@@ -44,10 +44,9 @@ class Td3Agent:
         self.cfg = cfg
         self.rng = rng
         self.action_dim = action_dim
-        hidden = list(cfg.hidden)
-        self.actor = Mlp([state_dim] + hidden + [action_dim], "tanh", rng)
+        self.actor = Mlp([state_dim, *cfg.hidden, action_dim], "tanh", rng)
         self.actor_target = self.actor.copy()
-        self.critics = [Mlp([state_dim + action_dim] + hidden + [1], "identity", rng)
+        self.critics = [Mlp([state_dim + action_dim, *cfg.hidden, 1], "identity", rng)
                         for _ in range(n_critics)]
         self.critic_targets = [c.copy() for c in self.critics]
         self.actor_opt = Adam([self.actor.flat], cfg.actor_lr)

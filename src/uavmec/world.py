@@ -60,8 +60,6 @@ def move(pos: np.ndarray, vel: np.ndarray, v_new: np.ndarray, dt: float,
     Acceleration is derived from the velocity change, a = (v_new - v_old) / dt,
     so the position update reduces to the midpoint rule.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     accel = (v_new - vel) / dt
     pos = pos + vel * dt + 0.5 * accel * dt * dt
     lo = (0.0, 0.0, bounds.h_min)
@@ -80,8 +78,6 @@ def advance_uav(pos: np.ndarray, vel: np.ndarray, commanded_vel: np.ndarray,
 def pairwise_min_distance(uav_pos: np.ndarray) -> float:
     """Minimum pairwise 3D distance of (K, 3) positions; NO_PAIR_DISTANCE
     for a single UAV."""
-    if len(uav_pos) == 0:
-        raise ValueError("no UAV positions")
     diff = uav_pos[:, None, :] - uav_pos[None, :, :]
     d = np.sqrt(np.vecdot(diff, diff))
     np.fill_diagonal(d, NO_PAIR_DISTANCE)
@@ -92,8 +88,6 @@ def associate(busy_pos: np.ndarray, uav_pos: np.ndarray) -> np.ndarray:
     """Map each busy UD to its nearest UAV (3D distance, ties -> lowest index).
     Any positions may stand in for uav_pos: the env pairs each busy UD with
     its nearest idle UD this way."""
-    if len(uav_pos) == 0:
-        raise ValueError("need at least one UAV to associate")
     # One contiguous (I, K) plane per coordinate, summed x, then y, then z:
     # the bits of norm(axis=2) over the (I, K, 3) differences, without its
     # strided length-3 reduction.

@@ -48,12 +48,6 @@ class TestGain:
         rng = np.random.default_rng(0)
         assert all(sample_gain_sq(p, 50.0, rng) >= 0 for _ in range(1000))
 
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            sample_gain_sq(params(), 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            los_gain_sq(params(), -1.0)
-
 
 class TestRate:
     def test_zero_power(self):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numeric_leaves, small_sim
-from uavmec import env as env_module, libm
+from uavmec import channel, compute_energy, env as env_module, libm
 from uavmec.baseline import greedy_action, greedy_episode, steering_velocities
-from uavmec.config import ConfigError, SimConfig, WorldConfig, replace_at
+from uavmec.config import ConfigError, PenaltyConfig, SimConfig, WorldConfig, replace_at
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
@@ -286,6 +286,41 @@ class TestConfigChecks:
             assert s.shape == (25,) and np.isfinite(reward)
         assert env.done
         assert env.reset().shape == (25,)
+
+
+class TestFormulaInputs:
+    """The slot formulas check nothing; the env keeps their inputs in their
+    domains. UDs sit at z = 0 and UAVs at or above h_min (100 m here), and
+    reset floors the D2D link at 1 m, so no link is shorter than 1 m."""
+
+    @pytest.mark.parametrize("sizes", [(6, 3, 2), (20, 10, 5)])
+    def test_env_feeds_formulas_in_domain(self, monkeypatch, sizes):
+        seen = {"distance": [], "gain": [], "speed": []}
+
+        def spy(module, name, key, arg):
+            formula = getattr(module, name)
+
+            def spied(*args):
+                seen[key].append(np.ravel(args[arg]))
+                return formula(*args)
+            monkeypatch.setattr(module, name, spied)
+
+        spy(channel, "los_gain_sq", "distance", 1)
+        spy(channel, "rate", "gain", 2)
+        spy(compute_energy, "flight_power", "speed", 0)
+        sim = small_sim(*sizes)
+        rng = np.random.default_rng(0)
+        # Random actions, then full-speed climbs and dives.
+        policies = [lambda n: rng.uniform(-1.0, 1.0, n), np.ones, lambda n: -np.ones(n)]
+        for seed in range(5):
+            for policy in policies:
+                env = OffloadEnv(sim, seed)
+                rollout(env, lambda _: policy(env.action_dim))
+        values = {key: np.concatenate(arrays) for key, arrays in seen.items()}
+        assert all(v.size for v in values.values())
+        assert values["distance"].min() >= 1.0
+        assert values["gain"].min() >= 0.0
+        assert values["speed"].min() >= 0.0
 
 
 def _float_bits(x) -> bytes:
@@ -714,3 +749,20 @@ class TestLedgerCsv:
             float(text)                      # raises on "np.float64(...)"
         assert float(cells["Q"]) == entry.q
         assert float(cells["reward"]) == entry.reward
+
+    def test_int_penalties_write_the_float_config_bytes(self, tmp_path):
+        # Every penalty fires: d_min exceeds any UAV spacing (F1), the first
+        # slot spends the battery (F2), every command is at full speed (F3)
+        # and the return term is paid on the last slot (F4).
+        def ledger(penalty):
+            sim = dataclasses.replace(small_sim(d_min=1000.0, battery_j=1.0),
+                                      penalty=penalty)
+            env = OffloadEnv(sim, 0)
+            path = tmp_path / "ledger.csv"
+            entries = rollout(env, lambda _: np.ones(env.action_dim))
+            write_ledger_csv(str(path), {0: entries}, sim.world.n_uav)
+            return path.read_bytes()
+
+        written = ledger(PenaltyConfig(f1=50, f2=50, f3=50, f4=20))
+        assert written == ledger(PenaltyConfig(f1=50.0, f2=50.0, f3=50.0, f4=20.0))
+        assert b",50.0,50.0,50.0," in written

@@ -652,6 +652,7 @@ class TestConfigErrors:
     def test_int_accepted_for_float_field(self):
         cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
         assert cfg.sim.world.area_side == 100
+        assert type(cfg.sim.world.area_side) is float
 
     def test_zero_rollout_episodes_raises_instead_of_hanging(self):
         with pytest.raises(ConfigError, match="ppo.rollout_episodes"):

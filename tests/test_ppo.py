@@ -11,8 +11,7 @@ from uavmec.ppo import LOG_STD_MAX, PpoAgent, gae, ppo_train
 
 class TestGae:
     def test_single_step(self):
-        adv, ret = gae(np.array([1.0]), np.array([0.5]), np.array([1.0]),
-                       0.0, 0.9, 0.95)
+        adv, ret = gae(np.array([1.0]), np.array([0.5]), np.array([1.0]), 0.9, 0.95)
         assert adv[0] == pytest.approx(0.5)   # 1.0 - 0.5, terminal
         assert ret[0] == pytest.approx(1.0)
 
@@ -23,7 +22,7 @@ class TestGae:
         v = rng.normal(size=n)
         dones = np.zeros(n)
         dones[-1] = 1.0
-        adv, _ = gae(r, v, dones, 0.0, gamma, lam)
+        adv, _ = gae(r, v, dones, gamma, lam)
         # brute force: sum of (gamma*lam)^k * delta_k within the episode
         deltas = np.array([
             r[t] + gamma * (v[t + 1] if t + 1 < n else 0.0) * (1 - dones[t]) - v[t]
@@ -37,7 +36,7 @@ class TestGae:
         r = np.array([1.0, 1.0])
         v = np.array([0.0, 100.0])
         dones = np.array([1.0, 1.0])
-        adv, _ = gae(r, v, dones, 0.0, 0.99, 0.95)
+        adv, _ = gae(r, v, dones, 0.99, 0.95)
         assert adv[0] == pytest.approx(1.0)  # no leak from v[1]
 
 

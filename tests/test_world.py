@@ -70,10 +70,6 @@ class TestAdvance:
             assert 100 <= pos[2] <= 200
             assert np.linalg.norm(vel) <= 25.0 + 1e-12
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            advance_uav(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, cfg())
-
 
 def _uavs(*rows) -> np.ndarray:
     """(K, 3) UAV positions."""
