@@ -7,9 +7,10 @@ cycles per bit, compute levels, link rates and bitrates. Per-UD quantities
 (task bits, link rates, compute shares, transcoded bits) and UAV speeds may
 be arrays, one element per UD or UAV; a formula then returns an array of the
 same shape. The split fractions, the busy and UAV compute levels and the
-transcode bitrate are scalars for one action, or (B, 1) columns for a batch
-of B actions, which broadcast against the per-UD axis into one (B, I) row
-per action. A formula returns the broadcast shape of its array arguments,
+transcode bitrate are scalars for one action, and for a batch of B actions
+where every row shares them; where they vary over the rows they are (B, 1)
+columns, which broadcast against the per-UD axis into one (B, I) row per
+action. A formula returns the broadcast shape of its array arguments,
 whatever its guards decide: no work takes no time, even at zero compute,
 and zero UAV compute burns no transcode energy.
 """

@@ -32,24 +32,25 @@ Each quantity is computed when the last thing it depends on is fixed:
 - Per action: the split, compute levels, prices, weights, bitrate and
   velocities, and with them every delay, energy, utility and F2-F4.
   Powers run once per distinct value: the idle compute share squared once
-  per distinct partner load (``reset`` keeps those loads), and in a batch
-  the flight energy once per distinct UAV speed, gathered back to each row.
+  per distinct partner load (``reset`` keeps those loads), and a velocity
+  block that a batch's rows share flies once.
 - Per ledger entry, only for the action ``step`` commits: the sums of the
   per-UD delays and energies, and the move (also computed for every action
   on the last slot, where the return penalty F4 reads it).
 
 The slot evaluation is one array pass over all busy UDs, for one action or
-for a batch of B actions. In a batch each action's scalars (split, compute
-levels, prices, weights, bitrate) are (B, 1) columns against the per-UD
-axis, and the per-UAV and per-idle-UD totals are one ``np.bincount`` each
-over row-offset indices; one action's scalars are plain floats. The
-evaluation is a pure function of the world, the drawn tasks and the
-actions, so :meth:`OffloadEnv.peek_rewards` scores any number of actions
-without copying the env or drawing from its generator.
-:meth:`OffloadEnv.step` is the same evaluation of one action plus the
-commit. Both raise a ValueError naming the slot (and the row of a batch)
-where a reward is not finite or its evaluation overflows; ``step`` then
-commits nothing.
+for a batch of B actions. One action's scalars (split, compute levels,
+prices, weights, bitrate) are plain floats, and so is each scalar that every
+row of a batch shares; a scalar that varies over the rows is a (B, 1) column
+against the per-UD axis. A term is per row only where one of its inputs is,
+and the per-UAV and per-idle-UD totals of such a term are one
+``np.bincount`` over row-offset indices. The evaluation is a pure function
+of the world, the drawn tasks and the actions, so
+:meth:`OffloadEnv.peek_rewards` scores any number of actions without
+copying the env or drawing from its generator. :meth:`OffloadEnv.step` is
+the same evaluation of one action plus the commit. Both raise a ValueError
+naming the slot (and the row of a batch) where a reward is not finite or
+its evaluation overflows; ``step`` then commits nothing.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ from .world import associate, clamp_velocity, move, pairwise_min_distance, spawn
 
 @dataclass
 class DecodedAction:
-    """One decoded action, or a batch of them: every field has the raw
-    input's leading shape, a scalar for one (A,) vector and a (B,) array
-    for a (B, A) batch (velocities (..., K, 3), commanded speeds (..., K))."""
+    """One decoded action, or a batch of them. One (A,) vector gives plain
+    floats, a (K, 3) velocity block and (K,) commanded speeds. A (B, A)
+    batch gives a field in that same form where its raw columns hold the
+    same bits in every row, and otherwise with a leading row axis: a (B,)
+    array, (B, K, 3) velocities and (B, K) commanded speeds."""
     eps1: float                   # split: share to the associated UAV
     eps2: float                   # share to the D2D idle partner
     eps3: float                   # share processed locally
@@ -114,16 +117,17 @@ class LedgerEntry:
 
 
 class _SlotOutcome(NamedTuple):
-    """Evaluated slots and the velocities and battery use they commit, with
-    the decoded action's leading shape L: () for one action, (B,) for a
-    batch. A row field that no action changes (F1, or F4 before the last
-    slot) is one float for all rows. The ledger's per-UD and per-party terms
-    are kept unreduced: only :meth:`entry` sums them."""
-    rows: dict[str, np.ndarray]      # the reward and its terms, shape L
-    ud_terms: dict[str, np.ndarray]  # ledger delays and energies, L + (I,)
-    totals: dict[str, np.ndarray]    # ledger energy totals by party, L + (K,) or L + (J,)
-    vel: np.ndarray                  # L + (K, 3), the clamped velocities
-    energy_used: np.ndarray          # L + (K,) cumulative
+    """Evaluated slots and the velocities and battery use they commit. A
+    value has a leading row axis (B,) only where it reads a field of the
+    decoded batch that varies over the rows; otherwise it is one action's
+    value, the same for all rows (F1, say, or F4 before the last slot). The
+    ledger's per-UD and per-party terms are kept unreduced: only
+    :meth:`entry` sums them."""
+    rows: dict[str, np.ndarray]      # the reward and its terms, () or (B,)
+    ud_terms: dict[str, np.ndarray]  # ledger delays and energies, (I,) or (B, I)
+    totals: dict[str, np.ndarray]    # ledger energy totals by party, (K,) or (J,), or per row
+    vel: np.ndarray                  # (K, 3) or (B, K, 3), the clamped velocities
+    energy_used: np.ndarray          # (K,) or (B, K) cumulative
 
     def entry(self, slot: int, battery_j: float, pos: np.ndarray) -> LedgerEntry:
         """The ledger entry of a one-action outcome, whose move ends at pos."""
@@ -156,6 +160,11 @@ def _running_sums(rows: np.ndarray) -> np.ndarray:
 
 
 _LOGITS = np.array([0, 1, 2, 8, 9, 10])
+# The raw column group each DecodedAction field is decoded from, in field
+# order: 0 the split logits, 1-5 the compute levels and prices one column
+# each, 6 the weight logits, 7 the velocity block (velocities and commanded
+# speeds), 8 the bitrate selector.
+_FIELD_GROUP = (0, 0, 0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 7, 8)
 
 
 def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
@@ -163,7 +172,10 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     feasible set.
 
     Finite entries outside [-1, 1] are clipped into it; a non-finite entry
-    raises ValueError naming its index (and, in a batch, its row).
+    raises ValueError naming its index (and, in a batch, its row). A batch
+    field whose clipped raw columns hold the same bits in every row is row
+    0's value in one action's form (see :class:`DecodedAction`), so the slot
+    kernel computes it once; the bits are compared, so -0.0 and 0.0 differ.
     """
     raw = np.asarray(raw, dtype=float)
     k = cfg.world.n_uav
@@ -195,9 +207,17 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     vel_raw = raw[..., 11:11 + 3 * k].reshape(raw.shape[:-1] + (k, 3)) * cfg.world.v_max
     commanded = np.sqrt(np.add.reduce(vel_raw * vel_raw, axis=-1))  # norm(axis=-1)
     velocities = clamp_velocity(vel_raw, cfg.world.v_max)
-    # Positional, in field order: eps1-3, f_busy f_idle f_uav p_uav p_idle, w1-3.
-    return DecodedAction(*eps, *levels, *w, velocities, commanded,
-                         ce.ladder_level(cfg.task, idx))
+    bitrate = ce.ladder_level(cfg.task, idx)
+    # In field order: eps1-3, f_busy f_idle f_uav p_uav p_idle, w1-3.
+    fields = [*eps, *levels, *w, velocities, commanded, bitrate]
+    if raw.ndim == 2 and len(raw):
+        bits = raw.view(np.int64)
+        group_starts = [0, 3, 4, 5, 6, 7, 8, 11, 11 + 3 * k]
+        same = np.logical_and.reduceat((bits == bits[0]).all(axis=0), group_starts).tolist()
+        (eps, w), levels = s[0].tolist(), u[0].tolist()
+        first = [*eps, *levels, *w, velocities[0], commanded[0], bitrate[0].item()]
+        fields = [one if same[g] else f for one, f, g in zip(first, fields, _FIELD_GROUP)]
+    return DecodedAction(*fields)
 
 
 def episode_return(rewards) -> float:
@@ -326,24 +346,25 @@ class OffloadEnv:
         kappa = cfg.energy.kappa
         tx = cfg.caps.tx_power
         n_idle, n_uav = cfg.world.n_idle, cfg.world.n_uav
-        lead = act.velocities.shape[:-2]        # () for one action, (B,) for a batch
-        n_rows = math.prod(lead)
         bits, cyc = self._bits, self._cycles
 
-        # A batch's per-action values meet the per-UD and per-UAV axes as
-        # (B, 1) columns; one action's are plain floats, which the formulas
-        # take on their scalar branch, as cheap as Python arithmetic.
+        # A value that varies over a batch's rows is a (B,) array and meets
+        # the per-UD and per-UAV axes as a (B, 1) column. A value that every
+        # row shares is one action's plain float, which the formulas take on
+        # their scalar branch, as cheap as Python arithmetic.
         def col(x):
-            return x[:, None] if lead else x
+            return x[:, None] if libm.is_array(x) else x
 
         def flag(fired, value):   # value where fired, else 0.0
-            return np.where(fired, value, 0.0) if lead else (value if fired else 0.0)
+            if libm.is_array(fired):
+                return np.where(fired, value, 0.0)
+            return value if fired else 0.0
 
         eps1, eps2, eps3 = col(act.eps1), col(act.eps2), col(act.eps3)
         f_busy, f_idle, f_uav = col(act.f_busy), col(act.f_idle), col(act.f_uav)
         bitrate = col(act.bitrate_mbps)
 
-        # Per-UD terms, L + (I,).
+        # Per-UD terms, (I,), or (B, I) where an input varies over the rows.
         t_loc = ce.local_delay(eps3, bits, cyc, f_busy)
         e_loc = ce.local_energy(eps3, bits, cyc, f_busy, kappa)
         t_up = ce.uplink_delay_uav(eps1, bits, self._rate_uav)
@@ -358,26 +379,22 @@ class OffloadEnv:
         e_idle = ce.idle_compute_energy(eps2, bits, cyc, f_idle / self._loads, kappa,
                                         self._load_index)
 
-        # Per-UAV and per-idle-UD totals: in a batch, row b's bins follow row
-        # b - 1's, so each bin adds its UDs in index order, as a loop would.
-        def bins(index, n_bins):
-            return (np.arange(n_rows)[:, None] * n_bins + index).ravel() if lead else index
-
+        # Per-UAV and per-idle-UD totals. Over a term's row axis, row b's
+        # bins follow row b - 1's, so each bin adds its UDs in index order,
+        # as a loop would.
         def binned(index, n_bins, x):
-            return np.bincount(index, weights=x.ravel(),
-                               minlength=n_rows * n_bins).reshape(lead + (n_bins,))
+            if x.ndim == 1:
+                return np.bincount(index, weights=x, minlength=n_bins)
+            rows = len(x)
+            return np.bincount((np.arange(rows)[:, None] * n_bins + index).ravel(),
+                               weights=x.ravel(), minlength=rows * n_bins
+                               ).reshape(rows, n_bins)
 
-        uav_bins = bins(w.assoc, n_uav)
-        e_trans_k = binned(uav_bins, n_uav, e_tr)
-        e_comp_k = binned(uav_bins, n_uav, e_uc)
-        e_idle_j = binned(bins(self._d2d_partner, n_idle), n_idle, e_idle)
+        e_trans_k = binned(w.assoc, n_uav, e_tr)
+        e_comp_k = binned(w.assoc, n_uav, e_uc)
+        e_idle_j = binned(self._d2d_partner, n_idle, e_idle)
         speeds = np.sqrt(np.vecdot(act.velocities, act.velocities))
-        if lead:   # rows often share velocities: one power per distinct speed
-            distinct, at = np.unique(speeds, return_inverse=True)
-            e_fly_k = ce.flight_energy(distinct, cfg.world.slot_seconds,
-                                       cfg.energy)[at].reshape(speeds.shape)
-        else:
-            e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
+        e_fly_k = ce.flight_energy(speeds, cfg.world.slot_seconds, cfg.energy)
 
         inc = econ.incentive_factors(cfg.caps)
         beta_uav = econ.uav_inconvenience(eps1, cfg.econ)
@@ -424,9 +441,10 @@ class OffloadEnv:
         w = self.world
         return move(w.uav_pos, w.uav_vel, vel, self.cfg.world.slot_seconds, self.cfg.world)
 
-    def _evaluate_finite(self, act: DecodedAction) -> _SlotOutcome:
-        """:meth:`_evaluate`, where every reward is finite. Otherwise raise a
-        ValueError naming the slot, the row of a batch, and the non-finite
+    def _evaluate_finite(self, act: DecodedAction, n_rows: int | None = None) -> _SlotOutcome:
+        """:meth:`_evaluate` of one action, or of a decoded batch of n_rows,
+        where every reward is finite. Otherwise raise a ValueError naming
+        the slot, the first failing row of a batch, and the non-finite
         reward terms, or that the reward overflows."""
         try:
             out = self._evaluate(act)
@@ -434,7 +452,8 @@ class OffloadEnv:
             raise ValueError(f"slot {self.slot}: the reward overflows ({exc})") from exc
         finite = np.isfinite(out.rows["reward"])
         if np.count_nonzero(finite) != finite.size:
-            raise self._not_finite(out.rows, int(np.argmin(finite)) if finite.ndim else None)
+            row = None if n_rows is None else int(np.argmin(np.broadcast_to(finite, n_rows)))
+            raise self._not_finite(out.rows, row)
         return out
 
     def _not_finite(self, rows: dict, row: int | None = None) -> ValueError:
@@ -483,7 +502,8 @@ class OffloadEnv:
         if actions.ndim != 2:
             raise ValueError(f"actions must be a (B, {self.action_dim}) batch, "
                              f"got shape {actions.shape}")
-        return self._evaluate_finite(decode(actions, self.cfg)).rows["reward"]
+        out = self._evaluate_finite(decode(actions, self.cfg), len(actions))
+        return np.full(len(actions), out.rows["reward"])   # the rows may share it
 
     def peek_reward(self, raw_action) -> float:
         """Reward of taking raw_action now: :meth:`peek_rewards` of one row."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import numeric_leaves, small_sim
 from uavmec import channel, compute_energy, env as env_module, libm
-from uavmec.baseline import greedy_action, greedy_episode, steering_velocities
+from uavmec.baseline import PRODUCT_GRID, greedy_action, greedy_episode, steering_velocities
 from uavmec.config import ConfigError, PenaltyConfig, SimConfig, WorldConfig, replace_at
 from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
@@ -131,6 +131,27 @@ class TestDecode:
                 assert (np.asarray(getattr(row, name), dtype=float).tobytes()
                         == np.asarray(getattr(one, name), dtype=float).tobytes()), name
             _assert_feasible(row, sim_cfg)
+
+    def test_shared_columns_decode_to_one_action_form(self, sim_cfg):
+        """A batch field whose raw columns hold the same bits in every row is
+        row 0's one-action value; the others keep the row axis. 0.0 and -0.0
+        are different bits, though they decode to the same price."""
+        k = sim_cfg.world.n_uav
+        raw = np.random.default_rng(4).uniform(-1, 1, action_length(k))
+        batch = np.repeat(raw[None], 3, axis=0)
+        batch[:, 3] = [-1.0, 0.0, 1.0]     # f_busy
+        batch[:, 6] = [0.0, -0.0, 0.0]     # p_uav
+        rows, one = decode(batch, sim_cfg), decode(raw, sim_cfg)
+        for f in dataclasses.fields(DecodedAction):
+            value = getattr(rows, f.name)
+            if f.name in ("f_busy", "p_uav"):
+                assert value.shape == (3,), f.name
+            elif f.name in ("velocities", "commanded_speeds"):
+                assert value.tobytes() == getattr(one, f.name).tobytes(), f.name
+            else:
+                assert type(value) is float, f.name
+                assert _float_bits(value) == _float_bits(getattr(one, f.name)), f.name
+        assert rows.velocities.shape == (k, 3) and rows.commanded_speeds.shape == (k,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected_by_index(self, sim_cfg, bad):
@@ -429,17 +450,41 @@ def _peek_case(name):
     return small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15, deterministic_fading=True), 3
 
 
+# The number of dimensions of each _SlotOutcome field for one action; a
+# batch value with one more carries the row axis.
+_ONE_ACTION_NDIM = dict(rows=0, ud_terms=1, totals=1, vel=2, energy_used=1)
+
+
 def _row_entry(env, out, b: int):
     """Row b of a batch outcome as the ledger entry ``step`` would build:
     the row's one-action outcome, through ``_SlotOutcome.entry`` at the
     row's move."""
-    def pick(v):
-        return v[b] if np.ndim(v) else v   # a float is the same for all rows
+    def pick(v, name):   # a value without the row axis is the same for all rows
+        return v[b] if np.ndim(v) > _ONE_ACTION_NDIM[name] else v
 
     row = out._replace(**{
-        name: {k: pick(v) for k, v in x.items()} if isinstance(x, dict) else x[b]
+        name: ({k: pick(v, name) for k, v in x.items()} if isinstance(x, dict)
+               else pick(x, name))
         for name, x in out._asdict().items()})
     return row.entry(env.slot, env.cfg.world.battery_j, env._move(row.vel))
+
+
+def _assert_rows_equal_steps(env, batch):
+    """Row b of peek_rewards(batch) is peek_reward(batch[b]) and the reward
+    of clone().step(batch[b]) bit for bit, and so is every ledger field of
+    the row's outcome."""
+    rewards = env.peek_rewards(batch)
+    assert rewards.shape == (len(batch),)
+    out = env._evaluate(decode(batch, env.cfg))
+    for b, (row, r) in enumerate(zip(batch, rewards)):
+        _, stepped, entry, _ = env.clone().step(row)
+        assert _float_bits(r) == _float_bits(env.peek_reward(row)) == _float_bits(stepped)
+        # Every ledger field, not only the reward, which can round a
+        # last-bit difference in a small term away.
+        row_entry = _row_entry(env, out, b)
+        for f in dataclasses.fields(entry):
+            assert (np.asarray(getattr(row_entry, f.name), dtype=float).tobytes()
+                    == np.asarray(getattr(entry, f.name), dtype=float).tobytes()), f.name
 
 
 class TestPeekRewards:
@@ -453,35 +498,42 @@ class TestPeekRewards:
         while not done:
             batch = np.concatenate([_mixed_batch(rng, 3, env.action_dim),
                                     _shared_velocity_rows(rng, 3, env)])
-            rewards = env.peek_rewards(batch)
-            assert rewards.shape == (len(batch),)
-            out = env._evaluate(decode(batch, cfg))
-            for b, (row, r) in enumerate(zip(batch, rewards)):
-                _, stepped, entry, _ = env.clone().step(row)
-                assert (_float_bits(r) == _float_bits(env.peek_reward(row))
-                        == _float_bits(stepped))
-                # Every ledger field, not only the reward, which can round
-                # a last-bit difference in a small term away.
-                row_entry = _row_entry(env, out, b)
-                for f in dataclasses.fields(entry):
-                    assert (np.asarray(getattr(row_entry, f.name), dtype=float).tobytes()
-                            == np.asarray(getattr(entry, f.name), dtype=float).tobytes()
-                            ), f.name
+            _assert_rows_equal_steps(env, batch)
             _, _, e, done = env.step(batch[0])
             flags |= {f for f in ("f2", "f4") if getattr(e, f) > 0}
         if name == "20-10-5":
             assert flags == {"f2", "f4"}
 
+    @pytest.mark.parametrize("name", ["20-10-5", "6-3-2-deterministic", "12-3-2"])
+    def test_shared_field_rows_equal_cloned_steps(self, name):
+        """Batches shaped as greedy search's: the rows differ in two scalar
+        dims and share every other field, which decodes to one value."""
+        cfg, seed = _peek_case(name)
+        env = OffloadEnv(cfg, seed)
+        rng = np.random.default_rng(seed)
+        scalar_dims = [*range(11), 11 + 3 * cfg.world.n_uav]
+        while not env.done:
+            batch = np.repeat(_shared_velocity_rows(rng, 1, env)[:1], 9, axis=0)
+            batch[:, rng.choice(scalar_dims, 2, replace=False)] = PRODUCT_GRID[:9, -2:]
+            _assert_rows_equal_steps(env, batch)
+            env.step(batch[0])
+
     def test_greedy_call_powers_once_per_distinct_value(self, monkeypatch):
-        """A greedy peek_rewards call at 20/10/5 takes libm.power over at most
-        B * (L + 4) + 3 * K elements: the idle share squared once per row and
-        distinct partner load, four (B, 1) columns, and flight power's three
-        powers of at most K distinct speeds (the rows share one velocity
-        block). Per UD and UAV it would be B * (I + 4 + 3 * K), 1,053."""
+        """A greedy peek_rewards call at 20/10/5 takes libm.power over 23,
+        205, 23 and 49 elements in its four calls. Four powers read one
+        scalar field each (f_busy squared, f_uav to y1 and squared, the
+        bitrate to m2) and the idle share is squared once per distinct
+        partner load, L = 4: each over one element per load, times B = 27
+        where its field varies over the rows. Flight power takes three
+        powers of the K speeds of the one velocity block the rows share.
+        So the groups of the split logits and of the prices (with a weight
+        logit) take 4 + L + 3 * K = 23, the compute levels' group
+        3 * B + 1 + B * L + 3 * K = 205, and the bitrate's group
+        B + 3 + L + 3 * K = 49. Per UD and UAV it would be
+        B * (I + 4 + 3 * K) = 1,053."""
         env = OffloadEnv(SimConfig(), 0)
         partner = associate(env.world.busy_pos, env.world.idle_pos)
         n_loads = len(np.unique(np.bincount(partner)[partner]))
-        n_uav = env.cfg.world.n_uav
         rows, elements = [], []
         power, peek = libm.power, env.peek_rewards
 
@@ -498,8 +550,53 @@ class TestPeekRewards:
         monkeypatch.setattr(env, "peek_rewards", counted_peek)
         greedy_action(env)
         assert n_loads == 4 and rows == [27] * 4
-        for b, n in zip(rows, elements):
-            assert n <= b * (n_loads + 4) + 3 * n_uav
+        for n, bound in zip(elements, [23, 205, 23, 49]):
+            assert n <= bound
+
+    def test_greedy_calls_decode_shared_fields_once(self, monkeypatch):
+        """In each of greedy's four calls at 20/10/5, every field whose raw
+        columns lie outside the call's group of three scalar dims decodes to
+        a plain float, and the velocities, which all rows share, to one
+        (K, 3) block."""
+        env = OffloadEnv(SimConfig(), 0)
+        k = env.cfg.world.n_uav
+        split, weights = range(0, 3), range(8, 11)
+        columns = dict(eps1=split, eps2=split, eps3=split, f_busy=[3], f_idle=[4],
+                       f_uav=[5], p_uav=[6], p_idle=[7], w1=weights, w2=weights,
+                       w3=weights, bitrate_mbps=[11 + 3 * k])
+        decoded = []
+        real_decode = env_module.decode
+
+        def spied_decode(raw, cfg):
+            decoded.append(real_decode(raw, cfg))
+            return decoded[-1]
+
+        monkeypatch.setattr(env_module, "decode", spied_decode)
+        greedy_action(env)
+        scalar_dims = [*range(11), 11 + 3 * k]
+        groups = [scalar_dims[i:i + 3] for i in range(0, len(scalar_dims), 3)]
+        assert len(decoded) == len(groups) == 4
+        for act, dims in zip(decoded, groups):
+            for name, cols in columns.items():
+                value = getattr(act, name)
+                if set(cols).isdisjoint(dims):
+                    assert type(value) is float, (dims, name)
+                else:
+                    assert value.shape == (27,), (dims, name)
+            assert act.velocities.shape == (k, 3)
+            assert act.commanded_speeds.shape == (k,)
+
+    def test_empty_batch_gives_no_rewards(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        rewards = env.peek_rewards(np.zeros((0, env.action_dim)))
+        assert rewards.shape == (0,) and rewards.dtype == float
+
+    def test_identical_rows_give_one_writable_reward_each(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        a = np.random.default_rng(3).uniform(-1, 1, env.action_dim)
+        rewards = env.peek_rewards(np.repeat(a[None], 4, axis=0))
+        assert rewards.shape == (4,) and rewards.flags.writeable
+        assert rewards.tobytes() == np.full(4, env.clone().step(a)[1]).tobytes()
 
     def test_permuting_rows_permutes_rewards(self):
         env = OffloadEnv(SimConfig(), 2)
@@ -600,6 +697,13 @@ class TestFiniteReward:
             with pytest.raises(ValueError, match=r"^slot 0, row 2: the reward is not "
                                                  r"finite: q = -?inf"):
                 env.peek_rewards(batch)
+
+    def test_peek_rewards_names_row_0_of_a_shared_reward(self):
+        env = self._env("energy.kappa", 1e300)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"^slot 0, row 0: the reward is not "
+                                                 r"finite: q = -?inf"):
+                env.peek_rewards(np.ones((3, env.action_dim)))
 
     def test_overflow_names_the_slot(self):
         env = self._env("caps.f_uav_max", 1e300)
