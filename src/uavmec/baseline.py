@@ -12,11 +12,12 @@ from .env import OffloadEnv, episode_return, rollout
 
 GRID = (-1.0, 0.0, 1.0)
 # Scalar dims scored per kernel call. On a 2-vCPU x86_64 machine a
-# peek_rewards call inside greedy search at 20/10/5 costs about 325 us at 3
-# rows, 470 us at 27 and 655 us at 81, mostly fixed per-call overhead. In
+# peek_rewards call inside greedy search at 20/10/5 costs about 170 us at 3
+# rows, 220 us at 27 and 345 us at 81, mostly fixed per-call overhead. In
 # alternating in-process rounds, a greedy slot with 2 dims per call took
-# about 1.28x as long as with 3; with 4 it was faster than with 3 in 22 of
-# 30 pairs, by a median 3.5%, within the run-to-run spread.
+# about 1.27x as long as with 3; with 4 it was faster than with 3 in 22 of
+# 30 pairs in each of two sessions, by a median 2-3.5%, within the
+# run-to-run spread.
 GROUP = 3
 # Product grid of GRID over GROUP dims, last dim fastest. Its first
 # len(GRID)**g rows, last g columns, are the product grid over g dims.
