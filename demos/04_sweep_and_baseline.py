@@ -8,13 +8,10 @@ UAVs, more idle helpers, and more UAV compute.
 
 import numpy as np
 
-from uavmec.baseline import greedy_episode, zeros_baseline
+from uavmec.baseline import greedy_episode
 from uavmec.config import SimConfig, WorldConfig, apply_axis
 
 base = SimConfig(world=WorldConfig(n_busy=4, n_idle=2, n_uav=2, n_slots=10))
-
-print("greedy vs zero-action policy (seed 0):",
-      f"{greedy_episode(base, 0)[0]:.0f} vs {zeros_baseline(base, 0):.0f}")
 
 for axis, values in (("n_uav", [1, 2, 3]),
                      ("n_idle", [1, 2, 4]),

@@ -45,8 +45,8 @@ def greedy_action(env: OffloadEnv) -> np.ndarray:
 
     The scalar dims go in consecutive groups of GROUP; each group scores its
     whole product grid in one :meth:`OffloadEnv.peek_rewards` call. Then, one
-    dim at a time, it takes in GRID order each value whose reward is
-    strictly greater than the best so far, reading the rows where the
+    dim at a time, it moves to the first best value in GRID order, if that
+    value's reward beats the current value's, reading the rows where the
     group's earlier dims hold their picks and its later dims their current
     values. Those rows are the actions that probing one value at a time,
     skipping the current one, would score; the current value's row scores
@@ -66,10 +66,9 @@ def greedy_action(env: OffloadEnv) -> np.ndarray:
         pick = [GRID.index(action[dim]) for dim in dims]
         for p in range(n):
             line = rewards[(*pick[:p], slice(None), *pick[p + 1:])].tolist()
-            best = line[pick[p]]
-            for v, r in enumerate(line):
-                if r > best:
-                    best, pick[p] = r, v
+            m = max(line)
+            if m > line[pick[p]]:
+                pick[p] = line.index(m)
         action[dims] = [GRID[v] for v in pick]
     return action
 
@@ -79,10 +78,3 @@ def greedy_episode(cfg: SimConfig, seed: int):
     env = OffloadEnv(cfg, seed)
     entries = rollout(env, lambda _: greedy_action(env))
     return episode_return(e.reward for e in entries), entries
-
-
-def zeros_baseline(cfg: SimConfig, seed: int) -> float:
-    """Episode return of the all-zeros raw action (comparison policy)."""
-    env = OffloadEnv(cfg, seed)
-    entries = rollout(env, lambda _: np.zeros(env.action_dim))
-    return episode_return(e.reward for e in entries)

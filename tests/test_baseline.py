@@ -69,3 +69,26 @@ def test_any_group_size_equals_sequential_search(group, monkeypatch):
             action = greedy_action(env)
             assert action.tobytes() == sequential_greedy_action(env).tobytes()
             _, _, _, done = env.step(action)
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0), (-1.0, -0.0, 0.0)],
+                         ids=["ties", "signed-zero"])
+def test_tied_rewards_pick_as_sequential_search(values, monkeypatch):
+    """Rewards drawn from a table over the 3**12 grid points of the scalar
+    dims. With two values every 3-point line holds a tie, either of a
+    candidate with the current value or of two candidates; with -0.0 and
+    0.0, which compare equal, the first zero on a line is the first best.
+    The batched and the one-probe search read the same table."""
+    env = OffloadEnv(_sized(6, 3, 2), 0)
+    k = env.cfg.world.n_uav
+    scalar_idx = list(range(0, 11)) + [11 + 3 * k]
+
+    def peek_reward(action):
+        return table[tuple(GRID.index(action[d]) for d in scalar_idx)]
+
+    monkeypatch.setattr(env, "peek_reward", peek_reward)
+    monkeypatch.setattr(env, "peek_rewards",
+                        lambda actions: np.array([peek_reward(a) for a in actions]))
+    for seed in range(20):
+        table = np.random.default_rng(seed).choice(values, size=(len(GRID),) * 12)
+        assert greedy_action(env).tobytes() == sequential_greedy_action(env).tobytes()

@@ -178,6 +178,22 @@ class TestDecode:
         cfg = small_sim()
         _assert_feasible(decode(np.array(raw), cfg), cfg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, -1.0, 1.0])
+                    | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=action_length(2), max_size=action_length(2)))
+    def test_batch_of_one_decodes_as_one_action(self, raw):
+        """decode(v[None]) gives every field of decode(v) with the same type,
+        shape and bits, so the two entries are interchangeable."""
+        cfg = small_sim()
+        v = np.array(raw)
+        one, batch = decode(v, cfg), decode(v[None], cfg)
+        for f in dataclasses.fields(DecodedAction):
+            a, b = getattr(one, f.name), getattr(batch, f.name)
+            assert type(b) is type(a), f.name
+            assert np.shape(b) == np.shape(a), f.name
+            assert np.asarray(b).tobytes() == np.asarray(a).tobytes(), f.name
+
 
 class TestStep:
     def test_reward_identity(self, sim_cfg):
