@@ -1,12 +1,11 @@
 """Pricing, incentive/inconvenience factors, party utilities, and the
 weighted system revenue.
 
-Compute levels enter the revenue terms in GHz; in raw cycles/s the pricing
-terms would be 1e9 times larger. Even in GHz they dwarf the energy costs:
-under greedy at the paper default (20/10/5, seed 0), a slot's energies
-(764 J, 689 J of it flight) cost 7.6 at the default energy_price of 0.01
-per joule, against a revenue of 2,265, about 300 times more. Energy terms
-are joules converted to currency through econ.energy_price.
+Compute levels enter the revenue terms in GHz, and energy terms are joules
+converted to currency through econ.energy_price. Even so, pricing dwarfs
+energy: under greedy at the paper default (20/10/5, seed 0) a slot's 764 J
+(689 J of it flight) cost 7.6 at energy_price 0.01, against a revenue of
+2,265, about 300 times more.
 
 Every function takes plain values. The utilities are plain arithmetic, so
 their energy arguments may also be arrays (one element per UAV, idle UD or
