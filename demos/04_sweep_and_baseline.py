@@ -9,13 +9,12 @@ UAVs, more idle helpers, and more UAV compute.
 import numpy as np
 
 from uavmec.baseline import greedy_episode
-from uavmec.config import SimConfig, WorldConfig, apply_axis
+from uavmec.config import SimConfig, SweepAxes, WorldConfig, apply_axis
 
 base = SimConfig(world=WorldConfig(n_busy=4, n_idle=2, n_uav=2, n_slots=10))
 
-for axis, values in (("n_uav", [1, 2, 3]),
-                     ("n_idle", [1, 2, 4]),
-                     ("f_k_max", [10e9, 20e9, 30e9])):
+for axis in ("n_uav", "n_idle", "f_k_max"):
+    values = getattr(SweepAxes(), axis)
     means = []
     for v in values:
         sim = apply_axis(base, axis, v)

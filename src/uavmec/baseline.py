@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from .config import SimConfig
-from .env import OffloadEnv, episode_return, rollout
+from .env import OffloadEnv, episode_return, rollout, velocity_columns
 
 GRID = (-1.0, 0.0, 1.0)
 # Scalar dims scored per kernel call. On a 2-vCPU x86_64 machine a
@@ -53,10 +53,10 @@ def greedy_action(env: OffloadEnv) -> np.ndarray:
     the current action, whose reward is the best so far, and rows are
     scored independently. So this picks the action that search would.
     """
-    k = env.cfg.world.n_uav
+    vel = velocity_columns(env.cfg.world.n_uav)
     action = np.zeros(env.action_dim)
-    action[11:11 + 3 * k] = steering_velocities(env)
-    scalar_idx = list(range(0, 11)) + [11 + 3 * k]
+    action[vel] = steering_velocities(env)
+    scalar_idx = [*range(vel.start), *range(vel.stop, env.action_dim)]
     for start in range(0, len(scalar_idx), GROUP):
         dims = scalar_idx[start:start + GROUP]
         n = len(dims)

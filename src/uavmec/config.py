@@ -48,21 +48,6 @@ _NONNEGATIVE = Domain("must be nonnegative", lambda v: v >= 0)
 _NON_EMPTY = Domain("must be a non-empty list", lambda v: len(v) > 0)
 _DISTINCT = Domain("must be distinct", lambda v: len(set(v)) == len(v))
 
-
-class _FrozenDict(dict):
-    """A dict that refuses changes: the value of a frozen section's
-    mapping field."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a config mapping cannot be changed; derive a copy "
-                        "with dataclasses.replace")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):   # copy and pickle rebuild it rather than fill it
-        return type(self), (dict(self),)
-
 Positive = Annotated[float, _POSITIVE]
 NonNegative = Annotated[float, _NONNEGATIVE]
 # Far above any machine-sized world: a larger count would otherwise fail
@@ -286,9 +271,23 @@ ALGORITHMS = ("td3", "ddpg", "ppo", "greedy")
 Algorithm = Annotated[str, Domain(f"must be one of {', '.join(ALGORITHMS)}",
                                   lambda v: v in ALGORITHMS)]
 
-# Sweep axis -> the dotted path, in a SimConfig, of the field it sets.
-SWEEP_AXES = {"n_uav": "world.n_uav", "n_idle": "world.n_idle",
-              "n_busy": "world.n_busy", "f_k_max": "caps.f_uav_max"}
+_Axis = Annotated[tuple, _NON_EMPTY]
+
+
+@dataclass(frozen=True)
+class SweepAxes(_Section):
+    """The values of each sweep axis. ExperimentConfig._rules checks each
+    value against the field the axis sets, whose dotted path in a SimConfig
+    is the metadata "sets"."""
+    home = "sweep_axes"
+    n_uav: _Axis = field(default=(1, 2, 3), metadata={"sets": "world.n_uav"})
+    n_idle: _Axis = field(default=(1, 2, 4), metadata={"sets": "world.n_idle"})
+    n_busy: _Axis = field(default=(4, 8, 12), metadata={"sets": "world.n_busy"})
+    f_k_max: _Axis = field(default=(10e9, 20e9, 30e9), metadata={"sets": "caps.f_uav_max"})
+
+
+# Sweep axis -> the path of the field it sets.
+SWEEP_AXES = {f.name: f.metadata["sets"] for f in dataclasses.fields(SweepAxes)}
 
 
 def replace_at(cfg: _Section, path: str, value: Any) -> _Section:
@@ -317,24 +316,16 @@ class ExperimentConfig(_Section):
     seeds: Annotated[tuple[Annotated[int, _NONNEGATIVE], ...], _NON_EMPTY,
                      _DISTINCT] = (0, 1, 2)
     output_dir: str = "runs"
-    # Each axis's values are tuples, checked by _rules against the field
-    # the axis sets.
-    sweep_axes: dict[str, Annotated[tuple, _NON_EMPTY]] = field(default_factory=lambda: {
-        "n_uav": [1, 2, 3],
-        "n_idle": [1, 2, 4],
-        "n_busy": [4, 8, 12],
-        "f_k_max": [10e9, 20e9, 30e9],
-    })
+    sweep_axes: SweepAxes = field(default_factory=SweepAxes)
     # The snapshot format; only the current version loads.
     config_version: Annotated[int, Domain("must be 1", lambda v: v == 1)] = 1
 
     def _rules(self, at: str) -> None:
-        for axis, values in self.sweep_axes.items():
-            if axis not in SWEEP_AXES:
-                raise ConfigError(f"sweep_axes: unknown axis '{axis}'")
+        for axis, path in SWEEP_AXES.items():
+            values = getattr(self.sweep_axes, axis)
             for i, value in enumerate(values):
                 try:
-                    replace_at(self.sim, SWEEP_AXES[axis], value)
+                    replace_at(self.sim, path, value)
                 except ConfigError as exc:
                     raise ConfigError(f"sweep_axes.{axis}[{i}]: {exc}") from exc
             # Checked on valid values only: a repeat would run its cells twice.
@@ -348,7 +339,7 @@ _LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 class _Spec(NamedTuple):
     """A type hint taken apart once, for the walker."""
-    kind: Any          # a config dataclass, tuple, dict, or a _LEAF_TYPES key
+    kind: Any          # a config dataclass, tuple, or a _LEAF_TYPES key
     args: tuple        # the _Spec of each type argument but the tuple's "...";
                        # none for a bare tuple, whose items are left unchecked
     domains: tuple     # the Domains of an Annotated hint
@@ -390,11 +381,6 @@ def _typed(value: Any, spec: _Spec, where: str, default: Any = None):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         value = tuple(_typed(v, spec.args[0], f"{where}[{i}]") if spec.args else v
                       for i, v in enumerate(value))
-    elif kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object, got {value!r}")
-        value = _FrozenDict(
-            {k: _typed(v, spec.args[1], f"{where}.{k}") for k, v in value.items()})
     elif isinstance(value, dict) and default is not None:  # a section from JSON
         fields, prefix = _fields(kind), f"{where}." if where else ""
         for key in value:

@@ -139,8 +139,14 @@ class _SlotOutcome(NamedTuple):
             uav_rows=[(x, y, z, e) for (x, y, z), e in zip(pos.tolist(), remaining)])
 
 
+def velocity_columns(n_uav: int) -> slice:
+    """The raw action's velocity block, three columns per UAV. Every other
+    column is a scalar; the bitrate selector is the last, after the block."""
+    return slice(11, 11 + 3 * n_uav)
+
+
 def action_length(n_uav: int) -> int:
-    return 12 + 3 * n_uav
+    return velocity_columns(n_uav).stop + 1
 
 
 def state_length(n_busy: int, n_uav: int) -> int:
@@ -179,7 +185,8 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     """
     raw = np.asarray(raw, dtype=float)
     k = cfg.world.n_uav
-    if raw.ndim not in (1, 2) or raw.shape[-1] != action_length(k):
+    vel = velocity_columns(k)   # the bitrate selector, last, is at vel.stop
+    if raw.ndim not in (1, 2) or raw.shape[-1] != vel.stop + 1:
         raise ValueError(f"action vector must have length {action_length(k)}, "
                          f"got shape {raw.shape}")
     finite = np.isfinite(raw)
@@ -197,14 +204,14 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
                    ec.p_idle_max])
     u = lo + (raw[..., 3:8] + 1.0) * 0.5 * (hi - lo)
     n_levels = len(cfg.task.bitrate_ladder)
-    rung = (raw[..., 11 + 3 * k] + 1.0) * 0.5 * n_levels
+    rung = (raw[..., vel.stop] + 1.0) * 0.5 * n_levels
     if raw.ndim == 1:    # plain floats, as the scalar formulas take them
         (eps, w), levels = s.tolist(), u.tolist()
         idx = min(int(rung), n_levels - 1)
     else:                # one (B,) array per quantity
         (eps, w), levels = s.transpose(1, 2, 0), u.T
         idx = np.minimum(rung.astype(int), n_levels - 1)
-    vel_raw = raw[..., 11:11 + 3 * k].reshape(raw.shape[:-1] + (k, 3)) * cfg.world.v_max
+    vel_raw = raw[..., vel].reshape(raw.shape[:-1] + (k, 3)) * cfg.world.v_max
     commanded = np.sqrt(np.add.reduce(vel_raw * vel_raw, axis=-1))  # norm(axis=-1)
     velocities = clamp_velocity(vel_raw, cfg.world.v_max)
     bitrate = ce.ladder_level(cfg.task, idx)
@@ -212,7 +219,7 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
     fields = [*eps, *levels, *w, velocities, commanded, bitrate]
     if raw.ndim == 2 and len(raw):
         bits = raw.view(np.int64)
-        group_starts = [0, 3, 4, 5, 6, 7, 8, 11, 11 + 3 * k]
+        group_starts = [0, 3, 4, 5, 6, 7, 8, vel.start, vel.stop]
         same = np.logical_and.reduceat((bits == bits[0]).all(axis=0), group_starts).tolist()
         (eps, w), levels = s[0].tolist(), u[0].tolist()
         first = [*eps, *levels, *w, velocities[0], commanded[0], bitrate[0].item()]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .baseline import greedy_episode
-from .config import ExperimentConfig, SimConfig, apply_axis
+from .config import SWEEP_AXES, ExperimentConfig, SimConfig, apply_axis
 from .env import LedgerEntry, OffloadEnv, rollout
 from .nets import Mlp
 from .ppo import ppo_train
@@ -77,7 +77,7 @@ def cells(cfg: ExperimentConfig, axis: str | None = None):
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
     failing cell re-raises its DivergenceError, MemoryError or ValueError
     as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
-    for value in cfg.sweep_axes[axis] if axis else [None]:
+    for value in getattr(cfg.sweep_axes, axis) if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
@@ -117,8 +117,8 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
     seed; emit a summary CSV with mean and stddev across seeds."""
-    if axis not in cfg.sweep_axes:
-        raise ValueError(f"axis '{axis}' not present in sweep_axes")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis '{axis}'")
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")
     snap, meta = _snapshot(cfg, run_dir)
     detail_rows = [(value, algo, seed, converged_return(returns))

@@ -25,7 +25,7 @@ import tempfile
 import streams
 from conftest import small_sim
 from uavmec import harness
-from uavmec.config import ExperimentConfig, PpoConfig, Td3Config
+from uavmec.config import ExperimentConfig, PpoConfig, SweepAxes, Td3Config
 
 FIXTURE = "artifact_stream.json"
 
@@ -42,7 +42,7 @@ def _experiment(output_dir: str) -> ExperimentConfig:
         algorithms=("td3", "ddpg", "ppo", "greedy"),
         seeds=(0, 1),
         output_dir=output_dir,
-        sweep_axes={"n_uav": [1, 2]})
+        sweep_axes=SweepAxes(n_uav=(1, 2)))
 
 
 def artifact_hashes(output_dir: str) -> dict[str, str]:

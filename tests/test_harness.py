@@ -11,6 +11,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import typing
 import weakref
 from copy import deepcopy
 
@@ -23,7 +24,7 @@ from numpy._core._exceptions import _ArrayMemoryError
 from conftest import numeric_leaves, small_sim
 from uavmec import cli, config, harness
 from uavmec.config import (ChannelParams, ConfigError, ExperimentConfig, PpoConfig,
-                           SimConfig, Td3Config, WorldConfig, apply_axis,
+                           SimConfig, SweepAxes, Td3Config, WorldConfig, apply_axis,
                            d2d_channel_defaults, experiment_from_dict, load_experiment,
                            replace_at, save_experiment)
 from uavmec.env import OffloadEnv
@@ -43,7 +44,7 @@ def tiny_experiment(**kw):
                       epochs=2, minibatch_size=8),
         algorithms=("td3",),
         seeds=(0, 1),
-        sweep_axes={"n_uav": [1, 2], "f_k_max": [10e9, 30e9]},
+        sweep_axes=SweepAxes(n_uav=(1, 2), f_k_max=(10e9, 30e9)),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -116,7 +117,7 @@ class TestCells:
 
     def test_failing_cell_keeps_the_error_type(self):
         cfg = tiny_experiment(algorithms=("greedy",), sim=small_sim(n_slots=2),
-                              sweep_axes={"f_k_max": [1e300]})
+                              sweep_axes=SweepAxes(f_k_max=(1e300,)))
         with pytest.raises(ValueError, match=r"^f_k_max=1e\+300: greedy seed 0: slot 0: ") \
                 as info:
             next(harness.cells(cfg, "f_k_max"))
@@ -168,10 +169,10 @@ class TestSweep:
                 assert float(mean) == pytest.approx(np.mean(per_value[val]), rel=1e-12)
                 assert float(std) == pytest.approx(np.std(per_value[val]), abs=1e-12)
 
-    def test_axis_must_be_configured(self, out_root):
-        cfg = tiny_experiment()
-        with pytest.raises(ValueError, match="n_busy"):
-            harness.sweep(cfg, "n_busy")
+    def test_unknown_axis_fails_before_any_directory(self, out_root):
+        with pytest.raises(ValueError, match=r"^unknown sweep axis 'bogus'$"):
+            harness.sweep(tiny_experiment(), "bogus")
+        assert not list(out_root.iterdir())
 
     def test_axis_actually_changes_scenario(self):
         sim = small_sim()
@@ -270,7 +271,7 @@ class TestCli:
             td3=Td3Config(actor_lr=1e100, critic_lr=1e100,
                           reward_scale=1e100, episodes=3, warmup_steps=5,
                           batch_size=4, buffer_capacity=100, hidden=(8, 8)),
-            seeds=(0,), sweep_axes={"n_uav": [1]})
+            seeds=(0,), sweep_axes=SweepAxes(n_uav=(1,)))
 
     def test_run_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(tmp_path, tiny_experiment(seeds=(0,)))
@@ -283,6 +284,20 @@ class TestCli:
             tmp_path, tiny_experiment(algorithms=("greedy",), seeds=(0,)))
         assert cli.main(["sweep", path, "--axis", "n_uav"]) == 0
         assert "summary" in capsys.readouterr().out
+
+    def test_sweep_of_an_axis_the_config_leaves_out(self, out_root, tmp_path, capsys):
+        # Before, a partial sweep_axes dropped every axis it did not name,
+        # and this exited 2 with "axis 'n_idle' not present in sweep_axes".
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"sim": {"world": {"n_busy": 3, "n_idle": 2, "n_uav": 2,
+                                         "n_slots": 2}},
+                       "algorithms": ["greedy"], "seeds": [0],
+                       "sweep_axes": {"n_uav": [1, 2]}}, fh)
+        assert cli.main(["sweep", path, "--axis", "n_idle"]) == 0
+        with open(out_root / "sweep_n_idle" / "sweep_n_idle_summary.csv") as fh:
+            assert [row.split(",")[0] for row in fh.read().splitlines()[1:]] == [
+                "1", "2", "4"]
 
     def test_trajectory_subcommand(self, out_root, tmp_path):
         cfg = tiny_experiment(seeds=(0,))
@@ -649,6 +664,18 @@ class TestConfigErrors:
         save_experiment(cfg, path)
         assert load_experiment(path) == cfg
 
+    def test_partial_sweep_axes_keep_the_other_defaults(self, tmp_path):
+        # Before, a partial sweep_axes dropped the axes it did not name.
+        cfg = experiment_from_dict({"sweep_axes": {"n_uav": [1, 2]}})
+        assert cfg.sweep_axes == dataclasses.replace(SweepAxes(), n_uav=(1, 2))
+        path = str(tmp_path / "c.json")
+        save_experiment(cfg, path)
+        assert load_experiment(path) == cfg
+
+    def test_unknown_sweep_axis_is_an_unknown_field(self):
+        with pytest.raises(ConfigError, match=r"^unknown field 'sweep_axes\.bogus'$"):
+            experiment_from_dict({"sweep_axes": {"bogus": [1]}})
+
     def test_int_accepted_for_float_field(self):
         cfg = experiment_from_dict({"sim": {"world": {"area_side": 100}}})
         assert cfg.sim.world.area_side == 100
@@ -738,29 +765,24 @@ class TestReplaceAt:
             replace_at(SimConfig(), "chan_uav.beta0", -1)
 
     def test_sweep_axes_cannot_change_after_building(self):
-        # Before, the axes were the caller's dict of lists and sweep checked
-        # nothing again: an appended repeat ran its cells twice.
-        axes = {"n_uav": [1, 2]}
-        cfg = ExperimentConfig(sweep_axes=axes)
-        axes["n_uav"].append(2)
-        assert cfg.sweep_axes == {"n_uav": (1, 2)}
+        # Before the axes were frozen, they were the caller's dict of lists
+        # and sweep checked nothing again: an appended repeat ran its cells
+        # twice.
+        values = [1, 2]
+        cfg = ExperimentConfig(sweep_axes=SweepAxes(n_uav=values))
+        values.append(2)
+        assert cfg.sweep_axes.n_uav == (1, 2)
         with pytest.raises(AttributeError):
-            cfg.sweep_axes["n_uav"].append(1)
-        for change in (lambda d: d.__setitem__("n_uav", (1, 1)),
-                       lambda d: d.__delitem__("n_uav"),
-                       lambda d: d.update(n_uav=(1, 1)), lambda d: d.clear(),
-                       lambda d: d.pop("n_uav"), lambda d: d.popitem(),
-                       lambda d: d.setdefault("n_idle", (0,)),
-                       lambda d: d.__ior__({"n_uav": (1, 1)})):
-            with pytest.raises(TypeError, match="cannot be changed"):
-                change(cfg.sweep_axes)
-        assert cfg.sweep_axes == {"n_uav": (1, 2)}
+            cfg.sweep_axes.n_uav.append(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sweep_axes.n_uav = (1, 1)
+        assert cfg.sweep_axes == SweepAxes(n_uav=(1, 2))
         assert deepcopy(cfg) == cfg == pickle.loads(pickle.dumps(cfg))
 
     def test_derived_sweep_axes_are_checked(self):
         with pytest.raises(ConfigError, match=r"^sweep_axes\.n_uav must be distinct, "
                                               r"got \[1, 1\]$"):
-            dataclasses.replace(ExperimentConfig(), sweep_axes={"n_uav": [1, 1]})
+            dataclasses.replace(ExperimentConfig(), sweep_axes=SweepAxes(n_uav=[1, 1]))
         with pytest.raises(ConfigError, match=r"^sweep_axes\.n_uav\[1\]"):
             replace_at(ExperimentConfig(), "sweep_axes", {"n_uav": (1, 0)})
 
@@ -798,6 +820,37 @@ def test_a_second_config_module_is_freed():
     assert world() is None
 
 
+def _unwalkable(hint, where: str = ""):
+    """The path of each part of hint, at any depth, that is not one of the
+    config walker's kinds: a leaf, a tuple or a section."""
+    if typing.get_origin(hint) is typing.Annotated:
+        hint = typing.get_args(hint)[0]
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        for arg in typing.get_args(hint):
+            if arg is not Ellipsis:
+                yield from _unwalkable(arg, f"{where}[]")
+    elif isinstance(hint, type) and issubclass(hint, config._Section):
+        hints = typing.get_type_hints(hint, include_extras=True)
+        for f in dataclasses.fields(hint):
+            yield from _unwalkable(hints[f.name], f"{where}.{f.name}" if where else f.name)
+    elif hint not in (bool, int, float, str):
+        yield where
+
+
+def test_every_config_field_is_a_walker_kind():
+    # A mapping field, as sweep_axes once was, would fail deep in the
+    # walker's _typed rather than here, by name.
+    assert list(_unwalkable(ExperimentConfig)) == []
+
+    @dataclasses.dataclass(frozen=True)
+    class Mapped(config._Section):
+        ok: tuple[int, ...] = ()
+        table: dict[str, tuple] = dataclasses.field(default_factory=dict)
+        rows: tuple[dict, ...] = ()
+
+    assert list(_unwalkable(Mapped)) == ["table", "rows[]"]
+
+
 _counts = st.integers(1, 64)
 _widths = st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple)
 
@@ -816,12 +869,12 @@ def _experiments(draw) -> ExperimentConfig:
                     batch_size=batch,
                     buffer_capacity=batch + draw(st.integers(0, 10**6)),
                     hidden=draw(_widths))
-    sweep_axes = draw(st.fixed_dictionaries({}, optional={
+    sweep_axes = SweepAxes(**draw(st.fixed_dictionaries({}, optional={
         "n_uav": st.lists(_counts, min_size=1, max_size=4, unique=True),
         "n_idle": st.lists(_counts, min_size=1, max_size=4, unique=True),
         "n_busy": st.lists(_counts, min_size=1, max_size=4, unique=True),
         "f_k_max": st.lists(st.floats(1e6, 1e12), min_size=1, max_size=4, unique=True),
-    }))
+    })))
     return ExperimentConfig(
         sim=SimConfig(world=world, deterministic_fading=draw(st.booleans())),
         td3=td3,
