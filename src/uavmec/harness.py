@@ -77,7 +77,7 @@ def cells(cfg: ExperimentConfig, axis: str | None = None):
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
     failing cell re-raises its DivergenceError, MemoryError or ValueError
     as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
-    for value in getattr(cfg.sweep_axes, axis) if axis else [None]:
+    for value in vars(cfg.sweep_axes)[axis] if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
