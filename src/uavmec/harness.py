@@ -71,12 +71,20 @@ def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
 _CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis '{axis}'")
+
+
 def cells(cfg: ExperimentConfig, axis: str | None = None):
     """Train each cell, one algorithm on one seed of one scenario, in order:
     each axis value (None: the base scenario), each algorithm, each seed.
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
     failing cell re-raises its DivergenceError, MemoryError or ValueError
-    as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``."""
+    as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``.
+    An axis that is not a sweep axis raises ValueError on the first next()."""
+    if axis is not None:
+        _check_axis(axis)
     for value in vars(cfg.sweep_axes)[axis] if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
@@ -117,8 +125,7 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
     seed; emit a summary CSV with mean and stddev across seeds."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis '{axis}'")
+    _check_axis(axis)   # before any directory is made
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")
     snap, meta = _snapshot(cfg, run_dir)
     detail_rows = [(value, algo, seed, converged_return(returns))

@@ -374,8 +374,9 @@ class TestPeekReward:
         done = False
         while not done:
             a = rng.uniform(-1, 1, env.action_dim)
+            twin = env.clone()   # before the peek, so its step scores a anew
             peeked = env.peek_reward(a)
-            _, cloned, _, _ = env.clone().step(a)
+            _, cloned, _, _ = twin.step(a)
             _, r, e, done = env.step(a)
             assert _float_bits(peeked) == _float_bits(cloned) == _float_bits(r)
             flags |= {name for name in ("f2", "f4") if getattr(e, name) > 0}
@@ -466,34 +467,25 @@ def _peek_case(name):
     return small_sim(n_busy=6, n_idle=3, n_uav=2, n_slots=15, deterministic_fading=True), 3
 
 
-# The number of dimensions of each _SlotOutcome field for one action; a
-# batch value with one more carries the row axis.
-_ONE_ACTION_NDIM = dict(rows=0, ud_terms=1, totals=1, vel=2, energy_used=1)
-
-
 def _row_entry(env, out, b: int):
     """Row b of a batch outcome as the ledger entry ``step`` would build:
     the row's one-action outcome, through ``_SlotOutcome.entry`` at the
     row's move."""
-    def pick(v, name):   # a value without the row axis is the same for all rows
-        return v[b] if np.ndim(v) > _ONE_ACTION_NDIM[name] else v
-
-    row = out._replace(**{
-        name: ({k: pick(v, name) for k, v in x.items()} if isinstance(x, dict)
-               else pick(x, name))
-        for name, x in out._asdict().items()})
+    row = out.row(b)
     return row.entry(env.slot, env.cfg.world.battery_j, env._move(row.vel))
 
 
 def _assert_rows_equal_steps(env, batch):
     """Row b of peek_rewards(batch) is peek_reward(batch[b]) and the reward
     of clone().step(batch[b]) bit for bit, and so is every ledger field of
-    the row's outcome."""
+    the row's outcome. The clones are taken before any peek, so each of
+    their steps scores its action anew."""
+    clones = [env.clone() for _ in batch]
     rewards = env.peek_rewards(batch)
     assert rewards.shape == (len(batch),)
     out = env._evaluate(decode(batch, env.cfg))
-    for b, (row, r) in enumerate(zip(batch, rewards)):
-        _, stepped, entry, _ = env.clone().step(row)
+    for b, (row, r, twin) in enumerate(zip(batch, rewards, clones)):
+        _, stepped, entry, _ = twin.step(row)
         assert _float_bits(r) == _float_bits(env.peek_reward(row)) == _float_bits(stepped)
         # Every ledger field, not only the reward, which can round a
         # last-bit difference in a small term away.
@@ -610,9 +602,10 @@ class TestPeekRewards:
     def test_identical_rows_give_one_writable_reward_each(self, sim_cfg):
         env = OffloadEnv(sim_cfg, 0)
         a = np.random.default_rng(3).uniform(-1, 1, env.action_dim)
+        twin = env.clone()
         rewards = env.peek_rewards(np.repeat(a[None], 4, axis=0))
         assert rewards.shape == (4,) and rewards.flags.writeable
-        assert rewards.tobytes() == np.full(4, env.clone().step(a)[1]).tobytes()
+        assert rewards.tobytes() == np.full(4, twin.step(a)[1]).tobytes()
 
     def test_permuting_rows_permutes_rewards(self):
         env = OffloadEnv(SimConfig(), 2)
@@ -665,6 +658,149 @@ class TestPeekRewards:
 def _entry_bits(entry) -> bytes:
     fields = dataclasses.astuple(entry)
     return np.array(fields[:-1] + tuple(np.ravel(fields[-1])), dtype=float).tobytes()
+
+
+def _greedy_shaped(rng, env) -> np.ndarray:
+    """Nine rows shaped as one of greedy search's calls: they differ in two
+    scalar dims and share every other field, the velocity block included."""
+    scalar_dims = [*range(11), 11 + 3 * env.cfg.world.n_uav]
+    batch = np.repeat(_shared_velocity_rows(rng, 1, env)[:1], 9, axis=0)
+    batch[:, rng.choice(scalar_dims, 2, replace=False)] = PRODUCT_GRID[:9, -2:]
+    return batch
+
+
+def _assert_same_step(env, twin, a):
+    """env.step(a) and twin.step(a) give the same bits: the reward, every
+    ledger field, the next state and what the commit sets."""
+    s, r, e, done = env.step(a)
+    s_twin, r_twin, e_twin, done_twin = twin.step(a)
+    assert _float_bits(r) == _float_bits(r_twin)
+    assert _entry_bits(e) == _entry_bits(e_twin)
+    assert s.tobytes() == s_twin.tobytes() and done == done_twin
+    for x, y in [(env.world.uav_pos, twin.world.uav_pos),
+                 (env.world.uav_vel, twin.world.uav_vel),
+                 (env._energy_used, twin._energy_used)]:
+        assert x.tobytes() == y.tobytes()
+
+
+class TestScoredRows:
+    """step commits the outcome peek_rewards scored for a row with the
+    action's bits; each case steps a twin cloned before the peek, whose
+    step scores the action anew."""
+
+    @pytest.mark.parametrize("shape", ["mixed", "greedy-shaped", "greedy"])
+    @pytest.mark.parametrize("name", ["20-10-5", "6-3-2-deterministic", "12-3-2"])
+    def test_scored_row_commits_as_a_fresh_step(self, name, shape):
+        cfg, seed = _peek_case(name)
+        env = OffloadEnv(cfg, seed)
+        rng = np.random.default_rng(seed)
+        while not env.done:
+            twin = env.clone()
+            if shape == "greedy":
+                a = greedy_action(env)
+            else:
+                batch = (_mixed_batch(rng, 3, env.action_dim) if shape == "mixed"
+                         else _greedy_shaped(rng, env))
+                env.peek_rewards(batch)
+                a = batch[rng.integers(len(batch))].copy()
+            assert env._scored_row(a) is not None
+            _assert_same_step(env, twin, a)
+        assert env._scored is None
+
+    @pytest.mark.parametrize("column", [6, 11], ids=["price", "velocity"])
+    @pytest.mark.parametrize("shape", ["mixed", "greedy-shaped"])
+    def test_unscored_action_steps_anew(self, shape, column):
+        """One row with one entry an ulp up. With a greedy-shaped batch and
+        the price nudged, the action keeps the batch's velocity block, so
+        only its flight energy is reused; with the velocity nudged, none."""
+        cfg, seed = _peek_case("20-10-5")
+        env = OffloadEnv(cfg, seed)
+        rng = np.random.default_rng(seed)
+        while not env.done:
+            twin = env.clone()
+            batch = (_mixed_batch(rng, 3, env.action_dim) if shape == "mixed"
+                     else _greedy_shaped(rng, env))
+            env.peek_rewards(batch)
+            a = batch[0].copy()
+            a[column] = np.nextafter(a[column], 2.0)
+            assert env._scored_row(a) is None
+            _assert_same_step(env, twin, a)
+
+    def test_a_batch_changed_after_its_peek_is_not_reused(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        twin = env.clone()
+        batch = _mixed_batch(np.random.default_rng(0), 2, env.action_dim)
+        env.peek_rewards(batch)
+        batch[1, 3] = -batch[1, 3]
+        assert env._scored_row(batch[1]) is None
+        _assert_same_step(env, twin, batch[1])
+
+    def test_negative_zero_matches_no_positive_zero_row(self, sim_cfg):
+        env = OffloadEnv(sim_cfg, 0)
+        twin = env.clone()
+        env.peek_rewards(np.zeros((3, env.action_dim)))
+        a = np.zeros(env.action_dim)
+        a[4] = -0.0
+        assert env._scored_row(a) is None
+        _assert_same_step(env, twin, a)
+
+    def test_reset_drops_the_scored_rows(self):
+        cfg, seed = _peek_case("12-3-2")
+        env = OffloadEnv(cfg, seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            env.step(rng.uniform(-1, 1, env.action_dim))
+        batch = _mixed_batch(rng, 3, env.action_dim)
+        env.peek_rewards(batch)
+        env.reset()
+        assert env._scored is None
+        _assert_same_step(env, OffloadEnv(cfg, seed), batch[1])
+
+    def test_a_committed_row_is_scored_anew_at_the_next_slot(self):
+        cfg, seed = _peek_case("20-10-5")
+        env = OffloadEnv(cfg, seed)
+        twin = env.clone()
+        batch = _greedy_shaped(np.random.default_rng(seed), env)
+        env.peek_rewards(batch)
+        _assert_same_step(env, twin, batch[4])
+        assert env._scored is None
+        _assert_same_step(env, twin, batch[4])
+
+    def test_a_failing_peek_keeps_the_last_scored_rows(self):
+        env = OffloadEnv(small_sim(n_slots=3), 0)
+        twin = env.clone()
+        batch = _mixed_batch(np.random.default_rng(0), 2, env.action_dim)
+        env.peek_rewards(batch)
+        bad = batch.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="row 1 entry 0"):
+            env.peek_rewards(bad)
+        assert env._scored_row(batch[2]) is not None
+        _assert_same_step(env, twin, batch[2])
+
+    def test_greedy_slot_evaluates_four_times_and_flies_once(self, monkeypatch):
+        """A greedy slot at 20/10/5 scores its four 27-row calls and commits
+        the row of the last one that it picked; the four calls and the
+        commit share one steering velocity block."""
+        calls = dict(evaluate=0, flight=0)
+        evaluate, flight = OffloadEnv._evaluate, compute_energy.flight_energy
+
+        def counted_evaluate(self, act):
+            calls["evaluate"] += 1
+            return evaluate(self, act)
+
+        def counted_flight(*args):
+            calls["flight"] += 1
+            return flight(*args)
+
+        monkeypatch.setattr(OffloadEnv, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(compute_energy, "flight_energy", counted_flight)
+        env = OffloadEnv(SimConfig(), 0)
+        env.step(greedy_action(env))
+        assert calls == dict(evaluate=4, flight=1)
+        while not env.done:
+            env.step(greedy_action(env))
+        assert calls == dict(evaluate=4 * env.slot, flight=env.slot)
 
 
 class TestEpisodeCaches:

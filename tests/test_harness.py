@@ -174,6 +174,11 @@ class TestSweep:
             harness.sweep(tiny_experiment(), "bogus")
         assert not list(out_root.iterdir())
 
+    def test_cells_names_an_unknown_axis(self):
+        cells = harness.cells(tiny_experiment(), "bogus")
+        with pytest.raises(ValueError, match=r"^unknown sweep axis 'bogus'$"):
+            next(cells)
+
     def test_axis_actually_changes_scenario(self):
         sim = small_sim()
         assert apply_axis(sim, "n_uav", 3).world.n_uav == 3
