@@ -457,6 +457,15 @@ def _shared_velocity_rows(rng, n_rows: int, env) -> np.ndarray:
     return rows
 
 
+def _greedy_shaped(rng, env) -> np.ndarray:
+    """Nine rows shaped as one of greedy search's calls: they differ in two
+    scalar dims and share every other field, the velocity block included."""
+    scalar_dims = [*range(11), 11 + 3 * env.cfg.world.n_uav]
+    batch = np.repeat(_shared_velocity_rows(rng, 1, env)[:1], 9, axis=0)
+    batch[:, rng.choice(scalar_dims, 2, replace=False)] = PRODUCT_GRID[:9, -2:]
+    return batch
+
+
 def _peek_case(name):
     if name == "20-10-5":
         # 50 slots, stochastic fading; the battery is drained within the
@@ -519,10 +528,8 @@ class TestPeekRewards:
         cfg, seed = _peek_case(name)
         env = OffloadEnv(cfg, seed)
         rng = np.random.default_rng(seed)
-        scalar_dims = [*range(11), 11 + 3 * cfg.world.n_uav]
         while not env.done:
-            batch = np.repeat(_shared_velocity_rows(rng, 1, env)[:1], 9, axis=0)
-            batch[:, rng.choice(scalar_dims, 2, replace=False)] = PRODUCT_GRID[:9, -2:]
+            batch = _greedy_shaped(rng, env)
             _assert_rows_equal_steps(env, batch)
             env.step(batch[0])
 
@@ -658,15 +665,6 @@ class TestPeekRewards:
 def _entry_bits(entry) -> bytes:
     fields = dataclasses.astuple(entry)
     return np.array(fields[:-1] + tuple(np.ravel(fields[-1])), dtype=float).tobytes()
-
-
-def _greedy_shaped(rng, env) -> np.ndarray:
-    """Nine rows shaped as one of greedy search's calls: they differ in two
-    scalar dims and share every other field, the velocity block included."""
-    scalar_dims = [*range(11), 11 + 3 * env.cfg.world.n_uav]
-    batch = np.repeat(_shared_velocity_rows(rng, 1, env)[:1], 9, axis=0)
-    batch[:, rng.choice(scalar_dims, 2, replace=False)] = PRODUCT_GRID[:9, -2:]
-    return batch
 
 
 def _assert_same_step(env, twin, a):
