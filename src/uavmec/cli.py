@@ -26,7 +26,7 @@ import numpy as np
 from . import harness
 from .config import SWEEP_AXES, load_experiment
 from .env import action_length, state_length
-from .td3 import DivergenceError, load_actor
+from .td3 import load_actor
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             cfg = replace(load_experiment(args.config), algorithms=("greedy",))
             for _, _, seed, returns, _ in harness.cells(cfg):
                 print(f"seed={seed} return={returns[0]!r}")
-    except (DivergenceError, MemoryError, OSError, ValueError) as exc:
+    except (*harness.CELL_ERRORS, OSError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     return 0

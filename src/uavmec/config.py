@@ -54,6 +54,8 @@ NonNegative = Annotated[float, _NONNEGATIVE]
 # deep in numpy, naming no field.
 Count = Annotated[int, _POSITIVE, Domain("must be at most 10**9", lambda v: v <= 10**9)]
 Fraction = Annotated[float, Domain("must lie in (0, 1)", lambda v: 0 < v < 1)]
+# PPO's policy log standard deviation: each update clips it to this range.
+LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 
 
 class _Section:
@@ -263,7 +265,8 @@ class PpoConfig(_Section):
     rollout_episodes: Count = 4
     episodes: Count = 200
     hidden: tuple[Count, ...] = (256, 256)
-    init_log_std: float = -0.5
+    init_log_std: Annotated[float, Domain(f"must lie in [{LOG_STD_MIN}, {LOG_STD_MAX}]",
+                                          lambda v: LOG_STD_MIN <= v <= LOG_STD_MAX)] = -0.5
     reward_scale: Positive = 1.0
 
 
@@ -299,11 +302,16 @@ def replace_at(cfg: _Section, path: str, value: Any) -> _Section:
     return _typed(value, _spec(type(cfg)), cfg.home, cfg)
 
 
+def check_axis(axis: str) -> None:
+    """ConfigError unless axis names a sweep axis."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis '{axis}'")
+
+
 def apply_axis(sim: SimConfig, axis: str, value) -> SimConfig:
     """A copy of sim with the field behind a sweep axis set to value; sim
     itself is untouched."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis '{axis}'")
+    check_axis(axis)
     return replace_at(sim, SWEEP_AXES[axis], value)
 
 
@@ -405,11 +413,21 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
     return _typed(data, _spec(ExperimentConfig), "", ExperimentConfig())
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's name/value pairs as a dict; ConfigError on a repeat."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ConfigError(f"repeated field '{name}'")
+        obj[name] = value
+    return obj
+
+
 def load_experiment(path: str) -> ExperimentConfig:
     """Load and check an experiment config from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"unparseable config {path}: {exc}") from exc
     return experiment_from_dict(data)

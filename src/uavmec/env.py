@@ -291,7 +291,6 @@ class OffloadEnv:
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed!r}")
         self._seed = seed
-        self._scored = None   # see peek_rewards
         self.world = spawn_world(self.cfg.world, self._seed)
         self.rng = np.random.default_rng([self._seed, 0xE17])
         self.slot = 0
@@ -319,7 +318,9 @@ class OffloadEnv:
         fading normals: per busy UD the real and imaginary parts of the UAV
         link, then of the D2D link. Then fix what no action changes: the
         slot's link rates, each busy UD to its associated UAV and to its D2D
-        partner, and the proximity penalty F1 at the UAVs' positions."""
+        partner, and the proximity penalty F1 at the UAVs' positions. What
+        peek_rewards scored was for the old inputs and is dropped."""
+        self._scored = None
         cfg = self.cfg
         t = cfg.task
         n_busy = cfg.world.n_busy
@@ -513,8 +514,7 @@ class OffloadEnv:
         if out is None:
             out = self._evaluate_finite(decode(raw, self.cfg))
         # Commit: move the UAVs, drain their batteries, re-associate, and
-        # draw the next slot's tasks. What was scored is now stale.
-        self._scored = None
+        # draw the next slot's tasks.
         pos = self._move(out.vel)
         entry = out.entry(self.slot, self.cfg.world.battery_j, pos)
         w = self.world

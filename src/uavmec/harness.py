@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import config as cfgmod
 from .baseline import greedy_episode
-from .config import SWEEP_AXES, ExperimentConfig, SimConfig, apply_axis
+from .config import ExperimentConfig, SimConfig, apply_axis, check_axis
 from .env import LedgerEntry, OffloadEnv, rollout
 from .nets import Mlp
 from .ppo import ppo_train
@@ -68,12 +68,7 @@ def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
     return log.episode_returns, agent.actor
 
 
-_CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
-
-
-def _check_axis(axis: str) -> None:
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis '{axis}'")
+CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
 
 
 def cells(cfg: ExperimentConfig, axis: str | None = None):
@@ -82,20 +77,20 @@ def cells(cfg: ExperimentConfig, axis: str | None = None):
     Yields (value, algorithm, seed, per-episode returns, actor or None). A
     failing cell re-raises its DivergenceError, MemoryError or ValueError
     as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``.
-    An axis that is not a sweep axis raises ValueError on the first next()."""
+    An axis that is not a sweep axis raises ConfigError on the first next()."""
     if axis is not None:
-        _check_axis(axis)
+        check_axis(axis)
     for value in vars(cfg.sweep_axes)[axis] if axis else [None]:
         sim = apply_axis(cfg.sim, axis, value) if axis else cfg.sim
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 try:
                     returns, actor = _train_one(algo, sim, cfg, seed)
-                except _CELL_ERRORS as exc:
+                except CELL_ERRORS as exc:
                     cell = f"{axis}={value!r}: " if axis else ""
                     # The class caught, not type(exc): a subclass need not
                     # take a message, as numpy's _ArrayMemoryError(shape, dtype).
-                    base = next(t for t in _CELL_ERRORS if isinstance(exc, t))
+                    base = next(t for t in CELL_ERRORS if isinstance(exc, t))
                     raise base(f"{cell}{algo} seed {seed}: {exc}") from exc
                 yield value, algo, seed, returns, actor
 
@@ -125,7 +120,7 @@ def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
     seed; emit a summary CSV with mean and stddev across seeds."""
-    _check_axis(axis)   # before any directory is made
+    check_axis(axis)   # before any directory is made
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")
     snap, meta = _snapshot(cfg, run_dir)
     detail_rows = [(value, algo, seed, converged_return(returns))
@@ -156,16 +151,16 @@ def export_trajectory(actor: Mlp, sim: SimConfig, seed: int, path: str) -> None:
     _write_csv(path, ("kind", "id", "slot", "x", "y", "z"), rows)
 
 
-def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]],
-                     n_uav: int) -> None:
-    """One row per (episode, slot), with per-UAV position/energy columns."""
-    header = ["episode", "slot", "Q", "U_K", "U_J", "U_I",
-              "F1", "F2", "F3", "F4", "reward"]
+def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]]) -> None:
+    """One row per (episode, slot): the episode, each LedgerEntry field in
+    order by name, then x, y, z and remaining energy of each UAV in uav_rows."""
+    names = [f.name for f in fields(LedgerEntry) if f.name != "uav_rows"]
+    entries = [(ep, e) for ep in sorted(entries_by_episode) for e in entries_by_episode[ep]]
+    n_uav = len(entries[0][1].uav_rows) if entries else 0
+    header = ["episode", *names]
     header += [f"uav{k}_{c}" for k in range(n_uav) for c in ("x", "y", "z", "energy")]
-    rows = ([ep, e.slot, e.q, e.u_uav, e.u_idle, e.u_busy,
-             e.f1, e.f2, e.f3, e.f4, e.reward]
-            + [v for cells in e.uav_rows for v in cells]
-            for ep in sorted(entries_by_episode) for e in entries_by_episode[ep])
+    rows = ([ep, *(getattr(e, n) for n in names), *(v for row in e.uav_rows for v in row)]
+            for ep, e in entries)
     _write_csv(path, header, rows)
 
 
@@ -174,4 +169,4 @@ def export_ledger(cfg: SimConfig, actor: Mlp, seed: int, path: str,
     """Noise-free rollouts of the actor, written as the per-slot ledger CSV."""
     by_episode = {ep: rollout(OffloadEnv(cfg, seed + ep), lambda s: actor.forward(s)[0])
                   for ep in range(episodes)}
-    write_ledger_csv(path, by_episode, cfg.world.n_uav)
+    write_ledger_csv(path, by_episode)

@@ -8,12 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import PpoConfig
+from .config import LOG_STD_MAX, LOG_STD_MIN, PpoConfig
 from .env import episode_return, rollout
 from .nets import Adam, Mlp, all_finite
 from .td3 import DivergenceError, TrainLog
-
-LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 
 
 class PpoAgent:

@@ -36,6 +36,18 @@ def numeric_leaves(cls, path=""):
             yield where + "[0]", _bare(typing.get_args(hint)[0])
 
 
+# The ledger CSV's columns before the per-UAV ones, written out by hand so
+# that a change to LedgerEntry shows up as a change to this text.
+LEDGER_HEADER = ("episode,slot,q,u_uav,u_idle,u_busy,f1,f2,f3,f4,penalty,reward,"
+                 "e_local,e_off_uav,e_off_d2d,e_transcode,e_uav_compute,"
+                 "e_idle_compute,e_fly,t_local,t_off_uav,t_off_d2d")
+
+
+def uav_columns(n_uav: int) -> str:
+    """The ledger CSV's per-UAV columns, each led by a comma."""
+    return "".join(f",uav{k}_{c}" for k in range(n_uav) for c in ("x", "y", "z", "energy"))
+
+
 @pytest.fixture
 def sim_cfg() -> SimConfig:
     return small_sim()

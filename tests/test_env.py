@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import numeric_leaves, small_sim
+from conftest import LEDGER_HEADER, numeric_leaves, small_sim, uav_columns
 from uavmec import channel, compute_energy, env as env_module, libm
 from uavmec.baseline import PRODUCT_GRID, greedy_action, greedy_episode, steering_velocities
 from uavmec.config import ConfigError, PenaltyConfig, SimConfig, WorldConfig, replace_at
-from uavmec.env import (DecodedAction, OffloadEnv, action_length, decode,
+from uavmec.env import (DecodedAction, LedgerEntry, OffloadEnv, action_length, decode,
                         episode_return, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
 from uavmec.world import associate
@@ -979,42 +979,81 @@ class TestEpisodeReturn:
             sum(e.q for e in entries) - sum(e.penalty for e in entries))
 
 
+def _every_penalty_sim(penalty=PenaltyConfig()):
+    """A world where a rollout of all-ones actions fires every penalty:
+    d_min exceeds any UAV spacing (F1), the first slot spends the battery
+    (F2), every command is at full speed (F3) and the return term is paid
+    on the last slot (F4)."""
+    return dataclasses.replace(small_sim(d_min=1000.0, battery_j=1.0), penalty=penalty)
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
 class TestLedgerCsv:
     def test_schema_and_rows(self, tmp_path, sim_cfg):
         env = OffloadEnv(sim_cfg, 0)
         entries = rollout(env, lambda _: np.zeros(env.action_dim))
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(str(path), {0: entries}, sim_cfg.world.n_uav)
+        write_ledger_csv(str(path), {0: entries})
         lines = path.read_text().strip().split("\n")
-        header = lines[0].split(",")
-        assert header[:6] == ["episode", "slot", "Q", "U_K", "U_J", "U_I"]
-        assert "uav1_energy" in header
+        assert lines[0] == LEDGER_HEADER + uav_columns(sim_cfg.world.n_uav)
         assert len(lines) == 1 + sim_cfg.world.n_slots
-        assert all(len(l.split(",")) == len(header) for l in lines[1:])
+        assert all(len(l.split(",")) == len(lines[0].split(",")) for l in lines[1:])
+
+    def test_empty_ledger_writes_the_scalar_header(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        for ledger in ({}, {0: []}):
+            write_ledger_csv(str(path), ledger)
+            assert path.read_text() == LEDGER_HEADER + "\n"
 
     def test_every_data_field_parses_as_a_number(self, tmp_path, sim_cfg):
         env = OffloadEnv(sim_cfg, 0)
         _, _, entry, _ = env.step(np.zeros(env.action_dim))
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(str(path), {0: [entry]}, sim_cfg.world.n_uav)
+        write_ledger_csv(str(path), {0: [entry]})
         header, row = path.read_text().strip().split("\n")
         cells = dict(zip(header.split(","), row.split(",")))
         for name, text in cells.items():
             float(text)                      # raises on "np.float64(...)"
-        assert float(cells["Q"]) == entry.q
+        assert float(cells["q"]) == entry.q
         assert float(cells["reward"]) == entry.reward
 
+    def test_every_field_round_trips_bit_for_bit(self, tmp_path):
+        sim = _every_penalty_sim()
+        env = OffloadEnv(sim, 0)
+        entries = rollout(env, lambda _: np.ones(env.action_dim))
+        for name in ("f1", "f2", "f3", "f4"):
+            assert any(getattr(e, name) > 0 for e in entries), name
+        # Values a shortest-repr writer could get wrong on the way back.
+        odd = dataclasses.replace(entries[0], slot=99, q=-0.0, t_local=float("inf"),
+                                  u_idle=float("-inf"), e_fly=5e-324)
+        by_episode = {0: entries, 3: [odd]}
+        path = tmp_path / "ledger.csv"
+        write_ledger_csv(str(path), by_episode)
+        header, *rows = path.read_text().splitlines()
+        names = [f.name for f in dataclasses.fields(LedgerEntry)][:-1]
+        assert dataclasses.fields(LedgerEntry)[-1].name == "uav_rows"
+        assert header == ",".join(["episode", *names]) + uav_columns(sim.world.n_uav)
+        expected = [(ep, e) for ep in (0, 3) for e in by_episode[ep]]
+        assert len(rows) == len(expected)
+        for (ep, e), row in zip(expected, rows):
+            cells = row.split(",")
+            assert int(cells[0]) == ep
+            assert int(cells[1]) == e.slot
+            scalars = [getattr(e, n) for n in names[1:]]
+            uav = [v for r in e.uav_rows for v in r]
+            assert len(cells) == 2 + len(scalars) + len(uav)
+            assert [_bits(float(c)) for c in cells[2:]] == [_bits(v) for v in scalars + uav]
+
     def test_int_penalties_write_the_float_config_bytes(self, tmp_path):
-        # Every penalty fires: d_min exceeds any UAV spacing (F1), the first
-        # slot spends the battery (F2), every command is at full speed (F3)
-        # and the return term is paid on the last slot (F4).
         def ledger(penalty):
-            sim = dataclasses.replace(small_sim(d_min=1000.0, battery_j=1.0),
-                                      penalty=penalty)
+            sim = _every_penalty_sim(penalty)
             env = OffloadEnv(sim, 0)
             path = tmp_path / "ledger.csv"
             entries = rollout(env, lambda _: np.ones(env.action_dim))
-            write_ledger_csv(str(path), {0: entries}, sim.world.n_uav)
+            write_ledger_csv(str(path), {0: entries})
             return path.read_bytes()
 
         written = ledger(PenaltyConfig(f1=50, f2=50, f3=50, f4=20))

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core._exceptions import _ArrayMemoryError
 
-from conftest import numeric_leaves, small_sim
+from conftest import LEDGER_HEADER, numeric_leaves, small_sim, uav_columns
 from uavmec import cli, config, harness
-from uavmec.config import (ChannelParams, ConfigError, ExperimentConfig, PpoConfig,
-                           SimConfig, SweepAxes, Td3Config, WorldConfig, apply_axis,
+from uavmec.config import (LOG_STD_MAX, LOG_STD_MIN, ChannelParams, ConfigError,
+                           ExperimentConfig, PpoConfig, SimConfig, SweepAxes,
+                           Td3Config, WorldConfig, apply_axis,
                            d2d_channel_defaults, experiment_from_dict, load_experiment,
                            replace_at, save_experiment)
 from uavmec.env import OffloadEnv
@@ -239,9 +240,7 @@ class TestLedgerExport:
         harness.export_ledger(sim, actor, 3, path, episodes=2)
         with open(path) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == ("episode,slot,Q,U_K,U_J,U_I,F1,F2,F3,F4,reward,"
-                            + ",".join(f"uav{k}_{c}" for k in range(2)
-                                       for c in ("x", "y", "z", "energy")))
+        assert lines[0] == LEDGER_HEADER + uav_columns(2)
         rows = [line.split(",", 2) for line in lines[1:]]
         assert [(int(e), int(t)) for e, t, _ in rows] == [
             (e, t) for e in range(2) for t in range(4)]
@@ -409,6 +408,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ")
         json.loads(err[len("ERROR "):])
+
+    def test_repeated_name_reports_error_json(self, out_root, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"seeds": [0], "seeds": [1]}')
+        assert cli.main(["baseline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'ERROR {"error": "repeated field \'seeds\'"}\n'
 
     def test_ill_typed_config_reports_error_json(self, out_root, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
@@ -578,12 +585,21 @@ class TestConfigErrors:
         ("ppo", "reward_scale", -1.0),
         ("", "config_version", 99),          # "" is the experiment itself
         ("td3", "buffer_capacity", 10**30),
+        ("ppo", "init_log_std", -1000.0),    # diverged after episode 2
+        ("ppo", "init_log_std", 800.0),      # a non-finite first action
+        ("ppo", "init_log_std", 30.0),       # clipped to 1.0 by the first update
+        ("ppo", "init_log_std", -5.000001),
     ])
     def test_learner_range_names_field(self, section, field, value):
         cfg = replace_at(tiny_experiment(), "td3.batch_size", 16)
         path = f"{section}.{field}".lstrip(".")
         with pytest.raises(ConfigError, match=path):
             replace_at(cfg, path, value)
+
+    def test_log_std_bounds_build(self):
+        for bound in (LOG_STD_MIN, LOG_STD_MAX):
+            cfg = replace_at(tiny_experiment(), "ppo.init_log_std", bound)
+            assert cfg.ppo.init_log_std == bound
 
     def test_zero_noise_and_warmup_allowed(self):
         cfg = tiny_experiment()
@@ -715,6 +731,18 @@ class TestConfigErrors:
     def test_repeated_seed_message(self):
         with pytest.raises(ConfigError, match=r"^seeds must be distinct, got \(0, 0\)$"):
             experiment_from_dict({"seeds": [0, 0]})
+
+    @pytest.mark.parametrize("text,name", [
+        # Before, the last value won: seeds (5,) and n_uav 5, the first sim lost.
+        ('{"seeds": [0, 1], "sim": {"world": {"n_uav": 2}}, "seeds": [5], '
+         '"sim": {"world": {"n_busy": 3}}}', "seeds"),
+        ('{"sim": {"world": {"n_uav": 2, "n_busy": 3, "n_uav": 3}}}', "n_uav"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_name_rejected(self, tmp_path, text, name):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^repeated field '{name}'$"):
+            load_experiment(str(path))
 
     def test_unknown_key_names_path(self, tmp_path):
         path = str(tmp_path / "c.json")
