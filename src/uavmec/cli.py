@@ -63,10 +63,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             art = harness.run(load_experiment(args.config), name=args.name)
             print(f"convergence CSV: {art.convergence_csv}")
+            print(f"episodes CSV: {art.episodes_csv}")
         elif args.command == "sweep":
             cfg = load_experiment(args.config)
             art = harness.sweep(cfg, args.axis, name=args.name)
             print(f"sweep summary CSV: {art.sweep_csv}")
+            print(f"episodes CSV: {art.episodes_csv}")
         elif args.command == "trajectory":
             cfg = load_experiment(args.config)
             actor = load_actor(args.checkpoint)
@@ -81,8 +83,8 @@ def main(argv=None) -> int:
             print(f"trajectory CSV: {args.out}")
         elif args.command == "baseline":
             cfg = replace(load_experiment(args.config), algorithms=("greedy",))
-            for _, _, seed, returns, _ in harness.cells(cfg):
-                print(f"seed={seed} return={returns[0]!r}")
+            for _, _, seed, records, _ in harness.cells(cfg):
+                print(f"seed={seed} return={records[0]['reward']!r}")
     except (*harness.CELL_ERRORS, OSError) as exc:
         print("ERROR " + json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -248,6 +248,18 @@ def decode(raw: np.ndarray, cfg: SimConfig) -> DecodedAction:
 
 def episode_return(rewards) -> float:
     return float(sum(rewards))
+
+
+# The LedgerEntry fields an episode record sums, in declaration order.
+SUMMED_FIELDS = tuple(f.name for f in fields(LedgerEntry) if f.name not in ("slot", "uav_rows"))
+
+
+def episode_sums(entries) -> dict[str, float]:
+    """The episode record: each SUMMED_FIELDS field's :func:`episode_return`
+    over the entries, by name, in field order. Its ``reward`` is the
+    episode return."""
+    return {name: episode_return(getattr(e, name) for e in entries)
+            for name in SUMMED_FIELDS}
 
 
 def transitions(env: OffloadEnv, policy):

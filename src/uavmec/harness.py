@@ -13,7 +13,7 @@ import numpy as np
 from . import config as cfgmod
 from .baseline import greedy_episode
 from .config import ExperimentConfig, SimConfig, apply_axis, check_axis
-from .env import LedgerEntry, OffloadEnv, rollout
+from .env import SUMMED_FIELDS, LedgerEntry, OffloadEnv, episode_sums, rollout
 from .nets import Mlp
 from .ppo import ppo_train
 from .td3 import DivergenceError, ddpg_train, save_actor, td3_train
@@ -24,6 +24,7 @@ class RunArtifact:
     run_dir: str
     convergence_csv: str | None = None
     sweep_csv: str | None = None
+    episodes_csv: str | None = None
     config_snapshot: str | None = None
     metadata: str | None = None
 
@@ -56,16 +57,16 @@ def _snapshot(cfg: ExperimentConfig, run_dir: str) -> tuple[str, str]:
 
 
 def _train_one(algo: str, sim: SimConfig, cfg: ExperimentConfig, seed: int):
-    """(per-episode returns, trained actor or None) of one cell."""
+    """(per-episode records, trained actor or None) of one cell."""
     if algo == "greedy":
-        return [greedy_episode(sim, seed)[0]], None
+        return [episode_sums(greedy_episode(sim, seed)[1])], None
     def factory(s):
         return OffloadEnv(sim, s)
     if algo == "ppo":
         log, agent = ppo_train(factory, cfg.ppo, seed)
-        return log.episode_returns, agent.mean_net
+        return log.episodes, agent.mean_net
     log, agent = (td3_train if algo == "td3" else ddpg_train)(factory, cfg.td3, seed)
-    return log.episode_returns, agent.actor
+    return log.episodes, agent.actor
 
 
 CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
@@ -74,7 +75,8 @@ CELL_ERRORS = (DivergenceError, MemoryError, ValueError)
 def cells(cfg: ExperimentConfig, axis: str | None = None):
     """Train each cell, one algorithm on one seed of one scenario, in order:
     each axis value (None: the base scenario), each algorithm, each seed.
-    Yields (value, algorithm, seed, per-episode returns, actor or None). A
+    Yields (value, algorithm, seed, per-episode records, actor or None); a
+    record is :func:`~uavmec.env.episode_sums` of an episode's entries. A
     failing cell re-raises its DivergenceError, MemoryError or ValueError
     as that class, prefixed ``<axis>=<value>: <algorithm> seed <seed>: ``.
     An axis that is not a sweep axis raises ConfigError on the first next()."""
@@ -85,14 +87,14 @@ def cells(cfg: ExperimentConfig, axis: str | None = None):
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 try:
-                    returns, actor = _train_one(algo, sim, cfg, seed)
+                    records, actor = _train_one(algo, sim, cfg, seed)
                 except CELL_ERRORS as exc:
                     cell = f"{axis}={value!r}: " if axis else ""
                     # The class caught, not type(exc): a subclass need not
                     # take a message, as numpy's _ArrayMemoryError(shape, dtype).
                     base = next(t for t in CELL_ERRORS if isinstance(exc, t))
                     raise base(f"{cell}{algo} seed {seed}: {exc}") from exc
-                yield value, algo, seed, returns, actor
+                yield value, algo, seed, records, actor
 
 
 def converged_return(returns: list[float]) -> float:
@@ -101,30 +103,46 @@ def converged_return(returns: list[float]) -> float:
     return float(np.mean(returns[-tail:]))
 
 
+def _write_episodes_csv(run_dir: str, key_columns, finished) -> str:
+    """Write run_dir/episodes.csv: the key columns, episode, then each record
+    field, one row per episode of each (key, records) pair in finished."""
+    path = os.path.join(run_dir, "episodes.csv")
+    _write_csv(path, (*key_columns, "episode", *SUMMED_FIELDS),
+               [(*key, ep, *rec.values()) for key, records in finished
+                for ep, rec in enumerate(records)])
+    return path
+
+
 def run(cfg: ExperimentConfig, name: str = "run") -> RunArtifact:
     """Train every (algorithm, seed) cell on the base scenario and record
-    per-episode return curves."""
+    per-episode return curves and episode records."""
     run_dir = _prepare_dir(cfg, name)
     snap, meta = _snapshot(cfg, run_dir)
-    rows = []
-    for _, algo, seed, returns, actor in cells(cfg):
-        rows += [(algo, seed, ep, ret) for ep, ret in enumerate(returns)]
+    finished = []   # ((algorithm, seed), records) of each cell
+    for _, algo, seed, records, actor in cells(cfg):
+        finished.append(((algo, seed), records))
         if actor is not None:
             save_actor(os.path.join(run_dir, f"actor_{algo}_{seed}.npz"), actor)
     conv = os.path.join(run_dir, "convergence.csv")
-    _write_csv(conv, ("algorithm", "seed", "episode", "return"), rows)
-    return RunArtifact(run_dir=run_dir, convergence_csv=conv,
+    _write_csv(conv, ("algorithm", "seed", "episode", "return"),
+               [(*key, ep, rec["reward"]) for key, records in finished
+                for ep, rec in enumerate(records)])
+    episodes = _write_episodes_csv(run_dir, ("algorithm", "seed"), finished)
+    return RunArtifact(run_dir=run_dir, convergence_csv=conv, episodes_csv=episodes,
                        config_snapshot=snap, metadata=meta)
 
 
 def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtifact:
     """For each axis value, record the converged return per algorithm per
-    seed; emit a summary CSV with mean and stddev across seeds."""
+    seed; emit a summary CSV with mean and stddev across seeds, and the
+    episode records."""
     check_axis(axis)   # before any directory is made
     run_dir = _prepare_dir(cfg, name or f"sweep_{axis}")
     snap, meta = _snapshot(cfg, run_dir)
-    detail_rows = [(value, algo, seed, converged_return(returns))
-                   for value, algo, seed, returns, _ in cells(cfg, axis)]
+    finished = [((value, algo, seed), records)
+                for value, algo, seed, records, _ in cells(cfg, axis)]
+    detail_rows = [(*key, converged_return([rec["reward"] for rec in records]))
+                   for key, records in finished]
     detail = os.path.join(run_dir, f"sweep_{axis}_detail.csv")
     _write_csv(detail, (axis, "algorithm", "seed", "converged_return"), detail_rows)
     by_pair = {}   # (value, algorithm) -> returns, in cell order
@@ -135,7 +153,8 @@ def sweep(cfg: ExperimentConfig, axis: str, name: str | None = None) -> RunArtif
     summary = os.path.join(run_dir, f"sweep_{axis}_summary.csv")
     _write_csv(summary, (axis, "algorithm", "mean_return", "std_return", "n_seeds"),
                summary_rows)
-    return RunArtifact(run_dir=run_dir, sweep_csv=summary,
+    episodes = _write_episodes_csv(run_dir, (axis, "algorithm", "seed"), finished)
+    return RunArtifact(run_dir=run_dir, sweep_csv=summary, episodes_csv=episodes,
                        config_snapshot=snap, metadata=meta)
 
 
@@ -153,10 +172,16 @@ def export_trajectory(actor: Mlp, sim: SimConfig, seed: int, path: str) -> None:
 
 def write_ledger_csv(path: str, entries_by_episode: dict[int, list[LedgerEntry]]) -> None:
     """One row per (episode, slot): the episode, each LedgerEntry field in
-    order by name, then x, y, z and remaining energy of each UAV in uav_rows."""
+    order by name, then x, y, z and remaining energy of each UAV in uav_rows.
+    An episode whose UAV count is not the first entry's raises ValueError,
+    before anything is written."""
     names = [f.name for f in fields(LedgerEntry) if f.name != "uav_rows"]
     entries = [(ep, e) for ep in sorted(entries_by_episode) for e in entries_by_episode[ep]]
     n_uav = len(entries[0][1].uav_rows) if entries else 0
+    for ep, e in entries:
+        if len(e.uav_rows) != n_uav:
+            raise ValueError(f"episode {ep} has {len(e.uav_rows)} UAVs, "
+                             f"but the header has {n_uav}")
     header = ["episode", *names]
     header += [f"uav{k}_{c}" for k in range(n_uav) for c in ("x", "y", "z", "energy")]
     rows = ([ep, *(getattr(e, n) for n in names), *(v for row in e.uav_rows for v in row)]

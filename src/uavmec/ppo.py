@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import LOG_STD_MAX, LOG_STD_MIN, PpoConfig
-from .env import episode_return, rollout
+from .env import episode_sums, rollout
 from .nets import Adam, Mlp, all_finite
 from .td3 import DivergenceError, TrainLog
 
@@ -148,8 +148,7 @@ def ppo_train(env_factory, cfg: PpoConfig, seed: int):
             entries = rollout(env, policy)
             rewards += [e.reward * cfg.reward_scale for e in entries]
             dones += [0.0] * (len(entries) - 1) + [1.0]
-            log.episode_returns.append(episode_return(e.reward for e in entries))
-            log.penalty_totals.append(episode_return(e.penalty for e in entries))
+            log.episodes.append(episode_sums(entries))
         episodes_done += batch_eps
         adv, returns = gae(np.array(rewards), np.array(values),
                            np.array(dones), cfg.gamma, cfg.gae_lambda)

@@ -4,8 +4,9 @@ case: one critic, no target smoothing, an actor update every step.
 Training iterates :func:`uavmec.env.transitions`, pushing and learning
 between one step and the next action. A training env provides
 ``state_dim``, ``action_dim``, ``reset()``, ``state()``, ``done``, and
-``step(a)`` returning ``(s, r, entry, done)``, whose entry has ``reward``
-and ``penalty``."""
+``step(a)`` returning ``(s, r, entry, done)``, whose entry is a
+:class:`~uavmec.env.LedgerEntry`: the log keeps each episode's
+:func:`~uavmec.env.episode_sums` of the entries it stepped."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import Td3Config
-from .env import episode_return, transitions
+from .env import episode_sums, transitions
 from .nets import Adam, Mlp, all_finite, soft_update
 from .replay import ReplayBuffer
 
@@ -32,10 +33,14 @@ def td_target(r: np.ndarray, q1: np.ndarray, q2: np.ndarray,
 
 @dataclass
 class TrainLog:
-    episode_returns: list[float] = field(default_factory=list)
+    episodes: list[dict[str, float]] = field(default_factory=list)  # episode_sums records
     critic_losses: list[float] = field(default_factory=list)
     actor_objectives: list[float] = field(default_factory=list)
-    penalty_totals: list[float] = field(default_factory=list)
+
+    @property
+    def episode_returns(self) -> list[float]:
+        """Each episode's return: the ``reward`` of its record."""
+        return [ep["reward"] for ep in self.episodes]
 
 
 class Td3Agent:
@@ -160,8 +165,7 @@ def _train(env_factory, cfg: Td3Config, seed: int, n_critics: int):
                     agent.sync_targets()
                 # Only the nets this step changed can have turned non-finite.
                 agent.check_finite(step, None if actor_step else agent.critics)
-        log.episode_returns.append(episode_return(e.reward for e in entries))
-        log.penalty_totals.append(episode_return(e.penalty for e in entries))
+        log.episodes.append(episode_sums(entries))
     return log, agent
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavmec.config import SimConfig, WorldConfig
-from uavmec.env import OffloadEnv
+from uavmec.env import LedgerEntry, OffloadEnv
 
 
 def small_sim(n_busy=4, n_idle=2, n_uav=2, n_slots=10, deterministic_fading=False,
@@ -60,6 +60,13 @@ def left_to_right_sum(values) -> float:
     return total
 
 
+def ledger_sums(entries) -> dict[str, float]:
+    """Field name -> left_to_right_sum of that LedgerEntry field over the
+    entries, for every field but slot and uav_rows, in declaration order."""
+    return {f.name: left_to_right_sum(getattr(e, f.name) for e in entries)
+            for f in dataclasses.fields(LedgerEntry) if f.name not in ("slot", "uav_rows")}
+
+
 class RecordingEnv(OffloadEnv):
     """OffloadEnv that keeps the ledger entries it steps, one list per
     ``reset`` (the constructor's included)."""
@@ -103,8 +110,9 @@ class BanditEnv:
         return self.state(), r, _FakeEntry(r), True
 
 
-class _FakeEntry:
-    penalty = 0.0
+class _FakeEntry(LedgerEntry):
+    """A ledger entry whose reward is the given one and every other field 0.0."""
 
     def __init__(self, reward: float):
-        self.reward = reward
+        zeros = {f.name: 0.0 for f in dataclasses.fields(LedgerEntry) if f.name != "uav_rows"}
+        super().__init__(**{**zeros, "reward": reward})

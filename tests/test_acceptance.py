@@ -574,8 +574,10 @@ class TestReproducibility:
         )
         art1 = run(cfg, name="first")
         art2 = run(load_experiment(art1.config_snapshot), name="second")
-        with open(art1.convergence_csv, "rb") as f1, \
-                open(art2.convergence_csv, "rb") as f2:
-            same = f1.read() == f2.read()
+        same = True
+        for name in ("convergence_csv", "episodes_csv"):
+            with open(getattr(art1, name), "rb") as f1, \
+                    open(getattr(art2, name), "rb") as f2:
+                same = same and f1.read() == f2.read()
         _report("re-run from the resolved config snapshot is byte-identical",
                 same)

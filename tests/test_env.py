@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LEDGER_HEADER, numeric_leaves, small_sim, uav_columns
+from conftest import LEDGER_HEADER, ledger_sums, numeric_leaves, small_sim, uav_columns
 from uavmec import channel, compute_energy, env as env_module, libm
 from uavmec.baseline import PRODUCT_GRID, greedy_action, greedy_episode, steering_velocities
 from uavmec.config import ConfigError, PenaltyConfig, SimConfig, WorldConfig, replace_at
 from uavmec.env import (DecodedAction, LedgerEntry, OffloadEnv, action_length, decode,
-                        episode_return, rollout, state_length, transitions)
+                        episode_return, episode_sums, rollout, state_length, transitions)
 from uavmec.harness import write_ledger_csv
 from uavmec.world import associate
 
@@ -979,6 +979,23 @@ class TestEpisodeReturn:
             sum(e.q for e in entries) - sum(e.penalty for e in entries))
 
 
+class TestEpisodeSums:
+    def test_names_every_ledger_column_but_slot(self):
+        # LEDGER_HEADER spells the fields out, so a new field shows up here.
+        assert list(episode_sums([])) == LEDGER_HEADER.split(",")[2:]
+        assert set(episode_sums([]).values()) == {0.0}
+
+    def test_each_field_is_its_left_to_right_sum(self):
+        env = OffloadEnv(_every_penalty_sim(), 0)
+        rng = np.random.default_rng(0)
+        entries = rollout(env, lambda _: rng.uniform(-1, 1, env.action_dim))
+        record = episode_sums(entries)
+        want = ledger_sums(entries)
+        assert {k: _bits(v) for k, v in record.items()} == {k: _bits(v) for k, v in want.items()}
+        assert record["reward"] == episode_return(e.reward for e in entries)
+        assert record["f2"] > 0.0
+
+
 def _every_penalty_sim(penalty=PenaltyConfig()):
     """A world where a rollout of all-ones actions fires every penalty:
     d_min exceeds any UAV spacing (F1), the first slot spends the battery
@@ -1007,6 +1024,17 @@ class TestLedgerCsv:
         for ledger in ({}, {0: []}):
             write_ledger_csv(str(path), ledger)
             assert path.read_text() == LEDGER_HEADER + "\n"
+
+    def test_mixed_uav_counts_raise_before_writing(self, tmp_path):
+        # Before, rows of the 3-UAV episode got 4 more cells than the header.
+        def episode(n_uav):
+            env = OffloadEnv(small_sim(n_uav=n_uav, n_slots=2), 0)
+            return rollout(env, lambda _: np.zeros(env.action_dim))
+
+        path = tmp_path / "ledger.csv"
+        with pytest.raises(ValueError, match=r"^episode 4 has 3 UAVs, but the header has 2$"):
+            write_ledger_csv(str(path), {4: episode(3), 1: episode(2), 7: episode(3)})
+        assert not path.exists()
 
     def test_every_data_field_parses_as_a_number(self, tmp_path, sim_cfg):
         env = OffloadEnv(sim_cfg, 0)

@@ -3,6 +3,7 @@ byte-identical re-runs, and the CLI wrapper."""
 
 import dataclasses
 import gc
+import glob
 import importlib.util
 import json
 import math
@@ -21,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core._exceptions import _ArrayMemoryError
 
-from conftest import LEDGER_HEADER, numeric_leaves, small_sim, uav_columns
-from uavmec import cli, config, harness
+from conftest import (LEDGER_HEADER, RecordingEnv, ledger_sums, numeric_leaves, small_sim,
+                      uav_columns)
+from uavmec import baseline, cli, config, harness
 from uavmec.config import (LOG_STD_MAX, LOG_STD_MIN, ChannelParams, ConfigError,
                            ExperimentConfig, PpoConfig, SimConfig, SweepAxes,
                            Td3Config, WorldConfig, apply_axis,
@@ -89,6 +91,32 @@ class TestRun:
                 open(art2.convergence_csv, "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_episodes_csv_sums_the_stepped_ledger(self, out_root, monkeypatch):
+        envs = []   # every env the cells build, in cell order
+
+        class Recording(RecordingEnv):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                envs.append(self)
+
+        monkeypatch.setattr(harness, "OffloadEnv", Recording)
+        monkeypatch.setattr(baseline, "OffloadEnv", Recording)
+        art = harness.run(tiny_experiment(algorithms=("td3", "ddpg", "ppo", "greedy")))
+        with open(art.episodes_csv) as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        with open(art.convergence_csv) as fh:
+            returns = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert header == ["algorithm", "seed", "episode", *LEDGER_HEADER.split(",")[2:]]
+        # The reward column is convergence.csv's return, text for text.
+        assert [row[:3] + [row[header.index("reward")]] for row in rows] == returns
+        assert {row[0] for row in rows} == {"td3", "ddpg", "ppo", "greedy"}
+        # A learner's env also keeps the empty ledger of its constructor's
+        # reset; greedy steps on from that reset.
+        stepped = [ep for env in envs for ep in env.episodes if ep]
+        assert len(stepped) == len(rows) == 2 * (3 + 3 + 3 + 1)
+        for row, entries in zip(rows, stepped):
+            assert row[3:] == [repr(float(v)) for v in ledger_sums(entries).values()]
+
     def test_ppo_and_greedy_rows_appear(self, out_root):
         cfg = tiny_experiment(algorithms=("ppo", "greedy"), seeds=(0,))
         art = harness.run(cfg, name="pg")
@@ -115,6 +143,16 @@ class TestCells:
                        for v in (1, 2) for a in ("greedy", "ppo") for s in (0, 1)]
         assert [cell[:3] for cell in harness.cells(cfg)] == [
             (None, a, s) for a in ("greedy", "ppo") for s in (0, 1)]
+
+    def test_greedy_records_at_the_paper_default(self):
+        # q weighs u_busy by w3, 0.787 on every greedy slot here, and the
+        # record holds no weights: so w3 * u_busy is about 0.99 q and u_busy
+        # about 1.26 q. Measured before the record existed: 1.26056-1.26145.
+        cfg = ExperimentConfig(algorithms=("greedy",), seeds=(0, 1, 2, 3, 4))
+        ratios = [round(records[0]["u_busy"] / records[0]["q"], 4)
+                  for *_, records, _ in harness.cells(cfg)]
+        assert len(ratios) == 5
+        assert all(1.2606 <= r <= 1.2614 for r in ratios), ratios
 
     def test_failing_cell_keeps_the_error_type(self):
         cfg = tiny_experiment(algorithms=("greedy",), sim=small_sim(n_slots=2),
@@ -154,6 +192,19 @@ class TestSweep:
             assert algo == "greedy"
             assert int(n) == 2
             float(mean), float(std)
+
+    def test_episodes_csv_rows_follow_the_cells(self, out_root):
+        art = harness.sweep(tiny_experiment(algorithms=("greedy",)), "n_uav")
+        with open(art.episodes_csv) as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        detail = os.path.join(art.run_dir, "sweep_n_uav_detail.csv")
+        with open(detail) as fh:
+            cells = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert header[:4] == ["n_uav", "algorithm", "seed", "episode"]
+        assert header[4:] == LEDGER_HEADER.split(",")[2:]
+        # One greedy episode per cell: its reward is the converged return.
+        assert [row[:3] + [row[header.index("reward")]] for row in rows] == cells
+        assert [row[3] for row in rows] == ["0"] * 4
 
     def test_summary_matches_detail(self, out_root):
         cfg = tiny_experiment(algorithms=("greedy",))
@@ -280,8 +331,11 @@ class TestCli:
     def test_run_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(tmp_path, tiny_experiment(seeds=(0,)))
         assert cli.main(["run", path, "--name", "clirun"]) == 0
-        assert "convergence.csv" in capsys.readouterr().out
-        assert os.path.isfile(out_root / "clirun" / "convergence.csv")
+        run_dir = out_root / "clirun"
+        assert capsys.readouterr().out == (f"convergence CSV: {run_dir / 'convergence.csv'}\n"
+                                           f"episodes CSV: {run_dir / 'episodes.csv'}\n")
+        assert os.path.isfile(run_dir / "convergence.csv")
+        assert os.path.isfile(run_dir / "episodes.csv")
 
     def test_sweep_subcommand(self, out_root, tmp_path, capsys):
         path = self._write_cfg(
@@ -392,11 +446,11 @@ class TestCli:
         assert not os.path.exists(out)
 
     def test_baseline_subcommand(self, out_root, tmp_path, capsys):
-        path = self._write_cfg(
-            tmp_path, tiny_experiment(algorithms=("greedy",), seeds=(0,)))
+        cfg = tiny_experiment(algorithms=("greedy",), seeds=(0,))
+        path = self._write_cfg(tmp_path, cfg)
         assert cli.main(["baseline", path]) == 0
         out = capsys.readouterr().out
-        assert "seed=0 return=" in out
+        assert out == f"seed=0 return={baseline.greedy_episode(cfg.sim, 0)[0]!r}\n"
         # A plain number, not a numpy repr such as np.float64(...).
         float(out.split("return=", 1)[1].split()[0])
 
@@ -559,6 +613,32 @@ class TestCli:
     def test_missing_file_reports_error(self, out_root, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json"]) == 2
         assert capsys.readouterr().err.startswith("ERROR ")
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _threads(code: str, **setting) -> int:
+        """OpenBLAS's thread count after code runs in a child process whose
+        environment sets no BLAS thread variable but those in setting."""
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+        if not found:
+            pytest.skip("numpy bundles no scipy-openblas library")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(setting, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        code += f"; import ctypes; print(ctypes.CDLL({found[0]!r}).scipy_openblas_get_num_threads64_())"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        return int(proc.stdout)
+
+    def test_importing_uavmec_first_pins_one_thread(self):
+        assert self._threads("import uavmec, numpy") == 1
+
+    def test_a_user_setting_is_kept(self):
+        assert (self._threads("import uavmec, numpy", OPENBLAS_NUM_THREADS="2")
+                == self._threads("import numpy", OPENBLAS_NUM_THREADS="2"))
 
 
 class TestConfigErrors:

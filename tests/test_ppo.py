@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import BanditEnv, RecordingEnv, left_to_right_sum, small_sim
+from conftest import BanditEnv, RecordingEnv, ledger_sums, left_to_right_sum, small_sim
 from uavmec.config import PpoConfig
 from uavmec.env import OffloadEnv
 from uavmec.ppo import LOG_STD_MAX, PpoAgent, gae, ppo_train
@@ -136,5 +136,4 @@ class TestTraining:
         assert [len(ep) for ep in episodes] == [5] * 5
         assert log.episode_returns == [left_to_right_sum(e.reward for e in ep)
                                        for ep in episodes]
-        assert log.penalty_totals == [left_to_right_sum(e.penalty for e in ep)
-                                      for ep in episodes]
+        assert log.episodes == [ledger_sums(ep) for ep in episodes]

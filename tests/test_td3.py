@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import BanditEnv, RecordingEnv, left_to_right_sum, small_sim
+from conftest import BanditEnv, RecordingEnv, ledger_sums, left_to_right_sum, small_sim
 from uavmec.config import Td3Config
 from uavmec import td3
 from uavmec.env import OffloadEnv
@@ -124,7 +124,7 @@ class TestTraining:
         cfg = tiny_cfg(episodes=7)
         log, _ = td3_train(lambda s: OffloadEnv(small_sim(n_slots=5), s), cfg, 0)
         assert len(log.episode_returns) == 7
-        assert len(log.penalty_totals) == 7
+        assert len(log.episodes) == 7
 
     @pytest.mark.parametrize("train", [td3_train, ddpg_train])
     def test_logs_the_sums_of_the_stepped_entries(self, train):
@@ -140,8 +140,7 @@ class TestTraining:
         assert [len(ep) for ep in episodes] == [5] * 4
         assert log.episode_returns == [left_to_right_sum(e.reward for e in ep)
                                        for ep in episodes]
-        assert log.penalty_totals == [left_to_right_sum(e.penalty for e in ep)
-                                      for ep in episodes]
+        assert log.episodes == [ledger_sums(ep) for ep in episodes]
 
     def test_bandit_learns_optimum(self):
         cfg = tiny_cfg(episodes=600, batch_size=32, warmup_steps=100,
